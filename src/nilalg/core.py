@@ -24,9 +24,11 @@ from .linalg import (
     RowSpace,
     Vector,
     ZERO,
+    eliminate,
     invert,
     is_zero_vector,
     row_times_mat,
+    support,
     unit_vector,
     zero_vector,
 )
@@ -57,6 +59,10 @@ class Subspace:
     basis: tuple[Vector, ...]
     pivots: tuple[int, ...]
 
+    def __post_init__(self):
+        # Nonzero columns of each basis row, for sparse membership tests.
+        object.__setattr__(self, "_supports", tuple(support(row) for row in self.basis))
+
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
         space = RowSpace(ambient_dim)
@@ -69,7 +75,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return RowSpace(self.ambient_dim, self.basis).contains(vec)
+        residue, _ = eliminate(self.basis, self.pivots, self._supports, vec)
+        return is_zero_vector(residue)
 
     def is_zero(self) -> bool:
         return not self.basis
@@ -77,7 +84,13 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Finite-dimensional algebra over Q given by a sparse bracket table."""
+    """Finite-dimensional algebra over Q given by a sparse bracket table.
+
+    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  The bracket
+    routines read a nonzero index built once at construction: ``_by_left``
+    maps i to [(j, ((k, c), ...))] and ``_by_right`` maps j to
+    [(i, ((k, c), ...))], listing only the nonzero coefficients c of e_k.
+    """
 
     dim: int
     basis_labels: tuple[str, ...]
@@ -90,6 +103,8 @@ class Algebra:
             raise InvalidInputError("basis_labels length must equal dim")
         if len(set(self.basis_labels)) != self.dim:
             raise InvalidInputError("basis labels must be distinct")
+        by_left: dict[int, list] = {}
+        by_right: dict[int, list] = {}
         for (i, j), vec in self.brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise InvalidInputError(f"bracket index ({i},{j}) out of range")
@@ -97,6 +112,12 @@ class Algebra:
                 raise InvalidInputError(
                     f"bracket ({i},{j}) value has length {len(vec)}, "
                     f"expected {self.dim}")
+            terms = tuple((k, c) for k, c in enumerate(vec) if c)
+            if terms:
+                by_left.setdefault(i, []).append((j, terms))
+                by_right.setdefault(j, []).append((i, terms))
+        object.__setattr__(self, "_by_left", by_left)
+        object.__setattr__(self, "_by_right", by_right)
 
     # -- construction helpers -------------------------------------------
 
@@ -139,38 +160,37 @@ def bracket(alg: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vecto
             f"vector length mismatch: got {len(x)} and {len(y)}, "
             f"algebra has dim {alg.dim}")
     out = [ZERO] * alg.dim
-    for (i, j), vec in alg.brackets.items():
-        c = x[i] * y[j]
-        if c:
-            for k in range(alg.dim):
-                if vec[k]:
-                    out[k] += c * vec[k]
+    by_left = alg._by_left
+    for i, xi in enumerate(x):
+        if xi and i in by_left:
+            for j, terms in by_left[i]:
+                yj = y[j]
+                if yj:
+                    c = xi * yj
+                    for k, a in terms:
+                        out[k] += c * a
     return tuple(out)
 
 
 def bracket_basis(alg: Algebra, i: int, vec: Sequence[Fraction]) -> Vector:
     """[e_i, vec] without building the left unit vector."""
     out = [ZERO] * alg.dim
-    for j, c in enumerate(vec):
+    for j, terms in alg._by_left.get(i, ()):
+        c = vec[j]
         if c:
-            entry = alg.brackets.get((i, j))
-            if entry:
-                for k in range(alg.dim):
-                    if entry[k]:
-                        out[k] += c * entry[k]
+            for k, a in terms:
+                out[k] += c * a
     return tuple(out)
 
 
 def bracket_vec_basis(alg: Algebra, vec: Sequence[Fraction], j: int) -> Vector:
     """[vec, e_j] without building the right unit vector."""
     out = [ZERO] * alg.dim
-    for i, c in enumerate(vec):
+    for i, terms in alg._by_right.get(j, ()):
+        c = vec[i]
         if c:
-            entry = alg.brackets.get((i, j))
-            if entry:
-                for k in range(alg.dim):
-                    if entry[k]:
-                        out[k] += c * entry[k]
+            for k, a in terms:
+                out[k] += c * a
     return tuple(out)
 
 
@@ -204,13 +224,25 @@ class LeibnizReport:
 
 
 def check_leibniz(alg: Algebra) -> LeibnizReport:
-    """Evaluate [x,[y,z]] = [[x,y],z] - [[x,z],y] on all n^3 basis triples."""
+    """Evaluate [x,[y,z]] = [[x,y],z] - [[x,z],y] on all n^3 basis triples.
+
+    Each term of the defect at (i, j, k) contains one of the table entries
+    (j, k), (i, j) or (i, k), so triples where all three are zero have zero
+    defect by bilinearity and are skipped; the rest run in (i, j, k) order.
+    """
     n = alg.dim
+    right_of = [set() for _ in range(n)]  # right_of[i]: j with [e_i, e_j] != 0
+    for i, row in alg._by_left.items():
+        right_of[i].update(j for j, _ in row)
     violations = []
     for i in range(n):
         for j in range(n):
             left = alg.table_entry(i, j)  # [e_i, e_j]
-            for k in range(n):
+            if j in right_of[i]:
+                ks = range(n)
+            else:
+                ks = sorted(right_of[i] | right_of[j])
+            for k in ks:
                 term1 = bracket_basis(alg, i, alg.table_entry(j, k))
                 term2 = bracket_vec_basis(alg, left, k)
                 term3 = bracket_vec_basis(alg, alg.table_entry(i, k), j)

@@ -519,11 +519,14 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
     for v in vecs:
         if not space.add(v):
             return  # generators already dependent
+    # vecs[:done] were bracketed pairwise by an earlier full pass; those
+    # brackets already lie in the span, so each pass skips old x old pairs.
+    done = 0
     while space.dim < n:
         added = False
         size = len(vecs)
         for i in range(size):
-            for j in range(size):
+            for j in range(done if i < done else 0, size):
                 w = bracket(alg, vecs[i], vecs[j])
                 if is_zero_vector(w) or not space.add(w):
                     continue
@@ -536,6 +539,7 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
                 break
         if not added:
             return  # closure stalls below full rank
+        done = size
     matrix = tuple(vecs)
     labels = _adapted_labels(alg, matrix)
     sample.basis_matrix = matrix

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Algebra, Subspace, bracket, bracket_vec_basis
+from .core import Algebra, Subspace, bracket_basis, bracket_vec_basis
 from .errors import InvalidInputError, NotNilpotentError
 from .linalg import RowSpace, Vector, mat_vec, unit_vector
 
@@ -89,7 +89,7 @@ def right_mult_matrix(alg: Algebra, x) -> tuple[Vector, ...]:
         raise InvalidInputError(
             f"vector length {len(x)} does not match dim {alg.dim}")
     n = alg.dim
-    cols = [bracket(alg, unit_vector(n, j), x) for j in range(n)]
+    cols = [bracket_basis(alg, j, x) for j in range(n)]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -149,10 +149,11 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     """Lexicographic maximum of C(x) over a finite test set.
 
     The test set holds every basis vector outside L^2, every pairwise sum
-    of two such basis vectors, and ``samples`` seeded random rational
-    vectors outside L^2.  The maximum of C(x) is attained on a dense open
-    subset of L \\ L^2, so this finite sweep is generically exact; formally
-    the result is a lower bound in the lexicographic order.
+    of two such basis vectors that also lies outside L^2, and ``samples``
+    seeded random rational vectors outside L^2.  The maximum of C(x) is
+    attained on a dense open subset of L \\ L^2, so this finite sweep is
+    generically exact; formally the result is a lower bound in the
+    lexicographic order.
     """
     n = alg.dim
     series = lower_central_series(alg)
@@ -166,8 +167,9 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     for a in range(len(outside)):
         for b in range(a + 1, len(outside)):
             i, j = outside[a], outside[b]
-            candidates.append(tuple(x + y for x, y in
-                                    zip(unit_vector(n, i), unit_vector(n, j))))
+            vec = tuple(x + y for x, y in zip(unit_vector(n, i), unit_vector(n, j)))
+            if not l2.contains(vec):
+                candidates.append(vec)
     rng = random.Random(seed)
     drawn = 0
     while drawn < samples:

@@ -27,29 +27,47 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vector(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
+def support(u: Sequence[Fraction]) -> list[int]:
+    """Ascending indices of the nonzero entries of ``u``."""
+    return [j for j, c in enumerate(u) if c]
+
+
+def eliminate(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+              supports: Sequence[Sequence[int]], vec: Sequence[Fraction]
+              ) -> tuple[list[Fraction], list[Fraction]]:
+    """(residue, coefficients) of ``vec`` against reduced echelon ``rows``.
+
+    ``supports[r]`` lists the nonzero columns of ``rows[r]``; only those
+    entries are touched.  The residue is zero iff ``vec`` lies in the span,
+    and then ``vec`` is the combination of the rows with the coefficients.
+    """
+    v = list(vec)
+    coeffs = []
+    for row, p, cols in zip(rows, pivots, supports):
+        c = v[p]
+        coeffs.append(c)
+        if c:
+            for j in cols:
+                v[j] -= c * row[j]
+    return v, coeffs
+
+
 class RowSpace:
-    """Incremental reduced-row-echelon span of a set of rational rows."""
+    """Incremental reduced-row-echelon span of a set of rational rows.
+
+    Each stored row keeps the ascending list of its nonzero columns, so
+    elimination touches only nonzero entries.
+    """
 
     def __init__(self, ncols: int, rows: Iterable[Sequence[Fraction]] = ()):
         self.ncols = ncols
         self._rows: list[list[Fraction]] = []
         self._pivots: list[int] = []
+        self._supports: list[list[int]] = []
         for row in rows:
             self.add(row)
 
@@ -66,80 +84,56 @@ class RowSpace:
 
     def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """Residue of ``vec`` after elimination against the stored basis."""
-        v = list(vec)
-        for row, p in zip(self._rows, self._pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.ncols):
-                    v[j] -= c * row[j]
-        return v
+        return eliminate(self._rows, self._pivots, self._supports, vec)[0]
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return is_zero_vector(self.reduce(vec))
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         """Insert ``vec``; returns True iff it enlarged the span."""
-        v = self.reduce(vec)
-        pivot = next((j for j in range(self.ncols) if v[j] != 0), None)
-        if pivot is None:
+        residue = self.reduce(vec)
+        cols = support(residue)
+        if not cols:
             return False
-        inv = ONE / v[pivot]
-        v = [c * inv for c in v]
+        pivot = cols[0]
+        inv = ONE / residue[pivot]
+        v = [ZERO] * self.ncols
+        for j in cols:
+            v[j] = residue[j] * inv
         # Back-substitute into earlier rows to keep the basis fully reduced.
-        for row in self._rows:
+        for r, row in enumerate(self._rows):
             c = row[pivot]
             if c:
-                for j in range(pivot, self.ncols):
+                for j in cols:
                     row[j] -= c * v[j]
+                merged = sorted(set(self._supports[r]).union(cols))
+                self._supports[r] = [j for j in merged if row[j]]
         at = next((k for k, p in enumerate(self._pivots) if p > pivot),
                   len(self._pivots))
         self._rows.insert(at, v)
         self._pivots.insert(at, pivot)
+        self._supports.insert(at, cols)
         return True
 
     def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction] | None:
         """Coefficients of ``vec`` in the stored basis, or None if outside."""
-        coeffs = []
-        v = list(vec)
-        for row, p in zip(self._rows, self._pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c:
-                for j in range(p, self.ncols):
-                    v[j] -= c * row[j]
-        if not is_zero_vector(v):
+        residue, coeffs = eliminate(self._rows, self._pivots, self._supports, vec)
+        if not is_zero_vector(residue):
             return None
         return coeffs
 
 
-def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    space = RowSpace(ncols)
-    for row in rows:
-        space.add(row)
-    return space.dim
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]],
-            b: Sequence[Sequence[Fraction]]) -> Matrix:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = [ZERO] * m
-        for t in range(k):
-            c = a[i][t]
-            if c:
-                brow = b[t]
-                for j in range(m):
-                    if brow[j]:
-                        row[j] += c * brow[j]
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO)
-                 for row in a)
+    nonzero = [(j, c) for j, c in enumerate(v) if c]
+    out = []
+    for row in a:
+        s = ZERO
+        for j, c in nonzero:
+            r = row[j]
+            if r:
+                s += r * c
+        out.append(s)
+    return tuple(out)
 
 
 def row_times_mat(v: Sequence[Fraction],
@@ -177,7 +171,3 @@ def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
                 aug[r] = [a - c * b for a, b in zip(aug[r], aug[row])]
         row += 1
     return tuple(tuple(r[n:]) for r in aug)
-
-
-def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(zip(*m)) if m else ()

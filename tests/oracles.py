@@ -5,6 +5,12 @@ Jordan profiles come from matrices built out of a known block partition,
 nilpotent algebras are built level-by-level so nilpotency holds by
 construction, and series dimensions for the Lie families come from the
 suffix sums of their known natural-gradation components.
+
+The dense reference kernels (bracket, the n^3 Leibniz sweep, Gauss-Jordan
+RREF, the all-pairs adapted-basis closure) walk every table entry and
+every matrix entry, zero or not.  They read only ``Algebra.brackets`` and
+plain tuples, never the sparse index or ``RowSpace``, so the library's
+sparse kernels are checked against them for exact equality.
 """
 
 from __future__ import annotations
@@ -13,7 +19,124 @@ import random
 from fractions import Fraction
 
 from nilalg import Algebra
-from nilalg.linalg import invert, mat_mul
+from nilalg.gradations import SymbolicDegree
+from nilalg.linalg import invert
+
+ZERO = Fraction(0)
+
+
+# -- dense reference kernels --------------------------------------------------
+
+def dense_bracket(alg: Algebra, x, y) -> tuple:
+    """[x, y] = sum over every table entry (i, j) of x_i y_j [e_i, e_j]."""
+    n = alg.dim
+    out = [ZERO] * n
+    for (i, j), vec in alg.brackets.items():
+        c = x[i] * y[j]
+        for k in range(n):
+            out[k] += c * vec[k]
+    return tuple(out)
+
+
+def unit(n: int, i: int) -> tuple:
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def dense_leibniz_violations(alg: Algebra) -> tuple:
+    """((i, j, k), defect) for every basis triple with a nonzero defect,
+    in (i, j, k) order, from the full n^3 sweep."""
+    n = alg.dim
+    zero = (ZERO,) * n
+    table = [[alg.brackets.get((i, j), zero) for j in range(n)] for i in range(n)]
+
+    def left(i, v):  # [e_i, v]
+        return tuple(sum((v[t] * table[i][t][k] for t in range(n)), ZERO)
+                     for k in range(n))
+
+    def right(v, j):  # [v, e_j]
+        return tuple(sum((v[t] * table[t][j][k] for t in range(n)), ZERO)
+                     for k in range(n))
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                term1 = left(i, table[j][k])
+                term2 = right(table[i][j], k)
+                term3 = right(table[i][k], j)
+                defect = tuple(a - b + c for a, b, c in zip(term1, term2, term3))
+                if any(defect):
+                    out.append(((i, j, k), defect))
+    return tuple(out)
+
+
+def dense_right_mult(alg: Algebra, x) -> tuple:
+    """R_x with column j = [e_j, x]."""
+    n = alg.dim
+    cols = [dense_bracket(alg, unit(n, j), x) for j in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def dense_rref(rows, ncols: int) -> tuple[tuple, tuple]:
+    """(nonzero rows, pivots) of the reduced row echelon form, by
+    Gauss-Jordan elimination over the whole matrix."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((t for t in range(r, len(m)) if m[t][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [c * inv for c in m[r]]
+        for t in range(len(m)):
+            if t != r and m[t][col] != 0:
+                c = m[t][col]
+                m[t] = [a - c * b for a, b in zip(m[t], m[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def rank(rows, ncols: int) -> int:
+    return len(dense_rref(rows, ncols)[1])
+
+
+def mat_mul(a, b) -> tuple:
+    m = len(b[0]) if b else 0
+    return tuple(tuple(sum((a_row[t] * b[t][j] for t in range(len(b))), ZERO)
+                       for j in range(m))
+                 for a_row in a)
+
+
+def dense_closure(alg: Algebra, generators, unknowns: int):
+    """All-pairs bracket closure of the generators, every pass re-bracketing
+    every pair; (basis rows, symbolic degree forms), or None when the
+    generators are dependent or the closure stalls below full rank."""
+    n = alg.dim
+    vecs = list(generators)
+    forms = [SymbolicDegree(1, (0,) * unknowns)]
+    for t in range(unknowns):
+        forms.append(SymbolicDegree(0, tuple(int(s == t) for s in range(unknowns))))
+    if rank(vecs, n) < len(vecs):
+        return None
+    while len(vecs) < n:
+        size = len(vecs)
+        for i in range(size):
+            for j in range(size):
+                if len(vecs) == n:
+                    break
+                w = dense_bracket(alg, vecs[i], vecs[j])
+                if rank(vecs + [w], n) > len(vecs):
+                    vecs.append(w)
+                    forms.append(forms[i].plus(forms[j]))
+        if len(vecs) == size:
+            return None
+    return tuple(vecs), tuple(forms)
+
+
+# -- generators -----------------------------------------------------------------
 
 
 def jordan_nilpotent(partition):

@@ -25,12 +25,14 @@ from nilalg import (
     verify_gradation,
 )
 from nilalg.cli import run_pipeline
-from nilalg.linalg import identity, mat_mul, rank
+from nilalg.linalg import identity
 
 from oracles import (
     conjugated_nilpotent,
+    mat_mul,
     random_nilpotent_algebra,
     random_partition,
+    rank,
 )
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, report shape, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,13 +123,26 @@ def test_grade_diagonal(tmp_path, capsys):
     assert main(["grade", "diagonal", str(path)]) == 0
 
 
-def test_reproduce_theorems_exit_0(tmp_path):
+# sha256 of each default-seed report as written by ``reproduce -o``.  A
+# change that moves any verdict, witness, search dict or number changes it.
+REPORT_SHA256 = {
+    "thm31": "49dd9a98e09e369e8fe8835154ef8228cee9ef1be18a08169f4c2bd365ca7609",
+    "thm32": "0799581f50c037ba104f0eef489b71583a51610f1be55f84c99e36853fd42c9d",
+    "thm33": "64b1e37ffe136d57365fab33f1aca46f2775a233fb6b3261773aa5a5df9af8b0",
+    "thm34": "19b9d8bd5bd449fc1dbb8be1a0702ecd48e7fa545ef1476e0480f9a6200ed0ac",
+}
+
+
+def test_reproduce_theorems_exit_0(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILALG_SEED", raising=False)
     for theorem in ("thm31", "thm32", "thm33", "thm34"):
         out = tmp_path / f"{theorem}.json"
         assert main(["reproduce", "--theorem", theorem, "-o", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["all_match"] is True
         assert report["first_counterexample"] is None
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[theorem]
 
 
 def test_reproduce_mismatch_exit_1(tmp_path):

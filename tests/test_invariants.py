@@ -12,6 +12,7 @@ from nilalg import (
     NotNilpotentError,
     abelian_algebra,
     chain_algebra,
+    change_of_basis,
     char_seq_at,
     characteristic_sequence,
     is_p_filiform,
@@ -174,6 +175,15 @@ def test_characteristic_sequence_examples(m1_8_4, l_12_4):
     assert characteristic_sequence(abelian_algebra(3)).seq == (1, 1, 1)
     assert characteristic_sequence(m1_8_4).seq == (4, 1, 1, 1, 1)
     assert characteristic_sequence(l_12_4).seq == (8, 1, 1, 1, 1)
+
+
+def test_characteristic_sequence_skips_pair_sums_in_l2():
+    # [e1, e1] = e3.  In the basis b1 = e1, b2 = e2, b3 = e3 - e2, both b2
+    # and b3 lie outside L^2 = <e3> but b2 + b3 = e3 lies in it.
+    alg = Algebra.from_products(3, ("e1", "e2", "e3"), {(0, 0): [(2, 1)]})
+    moved = change_of_basis(alg, ((F(1), F(0), F(0)), (F(0), F(1), F(0)),
+                                  (F(0), F(-1), F(1))))
+    assert characteristic_sequence(moved).seq == (2, 1)
 
 
 def test_characteristic_sequence_rejects_perfect():
