@@ -10,13 +10,13 @@ degrees form an integer interval, and (d) that interval has size dim(L).
 
 Two search strategies are provided.  ``diagonal_search`` exhaustively
 enumerates injective interval assignments in the given basis (small
-dimensions only).  ``two_generator_search`` follows the adapted-basis
-scheme: pick homogeneous generators (one chain driver of degree 1 plus
-the remaining generators with unknown degrees), close them under
-bracketing while propagating symbolic degrees, and test every integer
-value of the unknown degrees in a window.  A negative answer means no
-gradation was found under that scheme; it is not a formal non-existence
-certificate.
+dimensions only), pruning every prefix that already fails closure.
+``two_generator_search`` follows the adapted-basis scheme: pick
+homogeneous generators (one chain driver of degree 1 plus the remaining
+generators with unknown degrees), close them under bracketing while
+propagating symbolic degrees, and test every integer value of the unknown
+degrees in a window.  A negative answer means no gradation was found
+under that scheme; it is not a formal non-existence certificate.
 
 Search candidates are examined in a fixed order (lowest unknown tuple
 first, samples in build order) and the first witness wins, so results are
@@ -29,7 +29,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
+from math import factorial
 
 from .core import (
     Algebra,
@@ -405,6 +406,15 @@ def diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
 
     Sound and complete for gradations diagonal in this basis.  Guarded to
     dim <= 8 (the enumeration is n! per interval).
+
+    The enumeration is exhaustive and pruned: bases ascend, and for each
+    base the permutations are walked in lexicographic order by assigning
+    indices 0, 1, ... depth first.  Each literal-closure check
+    deg(e_k) = deg(e_i) + deg(e_j), one per nonzero coefficient of
+    [e_i, e_j] on e_k, is tested as soon as index max(i, j, k) is assigned,
+    and a failing prefix skips its whole subtree.  ``assignments_tried`` is
+    therefore the position in lexicographic order (a pruned subtree counts
+    all of its leaves), not a count of the work done.
     """
     n = alg.dim
     if n > 8:
@@ -414,23 +424,32 @@ def diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
         window = n
     if window < n - 1:
         raise InvalidInputError("window too small to contain any interval")
-    entries = [(i, j, tuple(k for k, c in enumerate(vec) if c))
-               for (i, j), vec in sorted(alg.brackets.items())]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (i, j), vec in alg.brackets.items():
+        for k, c in enumerate(vec):
+            if c:
+                checks[max(i, j, k)].append((i, j, k))
+    leaves_below = [factorial(n - d - 1) for d in range(n)]
+    degs = [0] * n
     tried = 0
     closure_failures = 0
+
+    def closed_leaves(d: int, free: list[int]):
+        """Yield once per closed completion of degs[:d], in lexicographic order."""
+        nonlocal tried, closure_failures
+        for pos, value in enumerate(free):
+            degs[d] = value
+            if any(degs[i] + degs[j] != degs[k] for i, j, k in checks[d]):
+                tried += leaves_below[d]
+                closure_failures += leaves_below[d]
+            elif d == n - 1:
+                tried += 1
+                yield
+            else:
+                yield from closed_leaves(d + 1, free[:pos] + free[pos + 1:])
+
     for base in range(-window, window - n + 2):
-        for perm in permutations(range(n)):
-            degs = [base + t for t in perm]
-            tried += 1
-            ok = True
-            for i, j, support in entries:
-                target = degs[i] + degs[j]
-                if any(degs[k] != target for k in support):
-                    ok = False
-                    break
-            if not ok:
-                closure_failures += 1
-                continue
+        for _ in closed_leaves(0, list(range(base, base + n))):
             witness = DegreeAssignment(dict(enumerate(degs)))
             report = verify_gradation(alg, witness)
             if report.is_maximum_length:
@@ -463,7 +482,12 @@ class GeneratorRoles:
 
 @dataclass
 class AdaptedBasisSample:
-    """One generic draw of homogeneous generators plus its bracket closure."""
+    """One generic draw of homogeneous generators plus its bracket closure.
+
+    ``adapted``, the algebra rewritten in the adapted basis, is built on
+    first use by ``adapted_algebra`` and cached; a sample whose degree
+    patterns never need a closure check never pays for the change of basis.
+    """
 
     sample_index: int
     driver: int
@@ -477,6 +501,12 @@ class AdaptedBasisSample:
     @property
     def degenerate(self) -> bool:
         return self.basis_matrix is None
+
+    def adapted_algebra(self, alg: Algebra) -> Algebra:
+        """``alg`` in this sample's adapted basis, built on first use."""
+        if self.adapted is None:
+            self.adapted = change_of_basis(alg, self.basis_matrix, self.labels)
+        return self.adapted
 
 
 def _random_coeff(rng: random.Random) -> Fraction:
@@ -506,8 +536,9 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
                          unknowns: int) -> None:
     """Bracket-close the generators, tracking symbolic degrees.
 
-    Fills the sample in place; leaves basis_matrix = None when the closure
-    does not span (degenerate draw).
+    Fills basis_matrix, forms and labels in place; leaves basis_matrix =
+    None when the closure does not span (degenerate draw).  The adapted
+    algebra is not built here but on first use (``adapted_algebra``).
     """
     n = alg.dim
     vecs = list(sample.generators)
@@ -545,7 +576,6 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
     sample.basis_matrix = matrix
     sample.forms = tuple(forms)
     sample.labels = labels
-    sample.adapted = change_of_basis(alg, matrix, labels)
 
 
 def _adapted_labels(alg: Algebra, matrix: tuple[Vector, ...]) -> tuple[str, ...]:
@@ -662,7 +692,7 @@ def two_generator_search(alg: Algebra, kt_window: int | None = None,
                     verdict_reason = reason
                 continue
             for sample in members:
-                if _closure_offset(sample.adapted, degs)[0]:
+                if _closure_offset(sample.adapted_algebra(alg), degs)[0]:
                     witness = DegreeAssignment(dict(enumerate(degs)))
                     report = verify_gradation(sample.adapted, witness)
                     search = _search_summary(

@@ -10,16 +10,26 @@ The dense reference kernels (bracket, the n^3 Leibniz sweep, Gauss-Jordan
 RREF, the all-pairs adapted-basis closure) walk every table entry and
 every matrix entry, zero or not.  They read only ``Algebra.brackets`` and
 plain tuples, never the sparse index or ``RowSpace``, so the library's
-sparse kernels are checked against them for exact equality.
+sparse kernels are checked against them for exact equality.  The
+brute-force diagonal search visits every permutation, so the pruned
+enumeration is checked against it, counters included.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from nilalg import Algebra
-from nilalg.gradations import SymbolicDegree
+from nilalg.gradations import (
+    MAXIMUM_LENGTH,
+    NO_GRADATION_FOUND,
+    DegreeAssignment,
+    GradationReport,
+    SymbolicDegree,
+    verify_gradation,
+)
 from nilalg.linalg import invert
 
 ZERO = Fraction(0)
@@ -134,6 +144,43 @@ def dense_closure(alg: Algebra, generators, unknowns: int):
         if len(vecs) == size:
             return None
     return tuple(vecs), tuple(forms)
+
+
+def brute_diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
+    """``diagonal_search`` without pruning: every base, every permutation in
+    lexicographic order, each checked against every table entry."""
+    n = alg.dim
+    if window is None:
+        window = n
+    entries = [(i, j, tuple(k for k, c in enumerate(vec) if c))
+               for (i, j), vec in sorted(alg.brackets.items())]
+    tried = 0
+    closure_failures = 0
+    for base in range(-window, window - n + 2):
+        for perm in permutations(range(n)):
+            degs = [base + t for t in perm]
+            tried += 1
+            ok = True
+            for i, j, support in entries:
+                target = degs[i] + degs[j]
+                if any(degs[k] != target for k in support):
+                    ok = False
+                    break
+            if not ok:
+                closure_failures += 1
+                continue
+            witness = DegreeAssignment(dict(enumerate(degs)))
+            report = verify_gradation(alg, witness)
+            if report.is_maximum_length:
+                search = {"strategy": "diagonal", "window": window,
+                          "assignments_tried": tried}
+                return GradationReport(MAXIMUM_LENGTH, witness=witness,
+                                       checks=report.checks, search=search)
+    search = {"strategy": "diagonal", "window": window,
+              "assignments_tried": tried,
+              "closure_failures": closure_failures,
+              "note": "exhaustive over injective interval maps in the given basis"}
+    return GradationReport(NO_GRADATION_FOUND, search=search)
 
 
 # -- generators -----------------------------------------------------------------

@@ -2,11 +2,20 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from nilalg.cli import main, run_pipeline
-from nilalg import FamilySpec, algebra_to_json, make
+from nilalg import (
+    FamilySpec,
+    algebra_to_json,
+    diagonal_search,
+    make,
+    two_generator_search,
+)
+
+from oracles import random_nilpotent_algebra
 
 
 def write_algebra(tmp_path, spec, name="alg.json"):
@@ -143,6 +152,43 @@ def test_reproduce_theorems_exit_0(tmp_path, monkeypatch):
         assert report["first_counterexample"] is None
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[theorem]
+
+
+# sha256 of json.dumps([diagonal, adapted-basis], sort_keys=True) for the
+# search reports on 20 random nilpotent tables of dims 3-7 (dim 3 + i % 5,
+# drawn in turn from one random.Random(101)).
+SEARCH_REPORT_SHA256 = (
+    "6598f7f638a3e8adc89c95ec8c4e61e7b0ef215a4c283f4504aa108f441f1d08",
+    "e2e5e831a0254019a0ca3ca69d170f16748018359ca6493afde15ae5e61b0e9a",
+    "5fc85c0ba1b383d452307b15fe186cb0d23e2fde911e94763dce406be28dd7bc",
+    "7ff5daa2a526f717d1e8563db484af47c892ec46391d2ef341cd10ca617359c7",
+    "7a3ac31c532cc4eced69c2acd6a954148ee3b05358315b392582987caf3799dd",
+    "b05bb47c21ffb094323677102890406930ec6a2995cfa40b1884a6ab814cc36a",
+    "729db8bc2b3b4f70e8d6ca3a042ad18eda04302001f49f8e0f830b711b38c277",
+    "18e88040f5bcd5015e24b66aba4aea8e047e4f607fa01a933d42e694689b18dd",
+    "36d950ddda8493445a940bc43bda510a101f2f5780dfdb0c8eff1c1510d301e9",
+    "acbde21a3ac0af7cfa51df9aaac3ff033edd3af67b029cb75992f0b43d9d8462",
+    "a565ebd885d4151b8732e6927616f4d7d2113be23922b852f7e7c6fa207486f8",
+    "fa2396c84299f0d44e07d5c9cc44de275e875ee5f2ca293fce47b33864e2c41b",
+    "cd4ba496cfca06cbb5df05f2c4b4be7011471c92f4fba3b7e2fe45a881138a48",
+    "856d935e2a91ea64e4bdca82e1627bff539e847dc6c917c547da6d66986ed5e3",
+    "f86be92b17482d4bc8197096774cd81d71c4a9561dc16ce8077669e68a3c5ae4",
+    "a565ebd885d4151b8732e6927616f4d7d2113be23922b852f7e7c6fa207486f8",
+    "2d25531179cd4839260836deafa28af22de6161d0d7e94ab6d0d363535de71c2",
+    "f15cf2b12ce27191636e95ac3cdfb3fec986c0c5f16f029d09e3e7238d529a13",
+    "eb48ed76dc399ffa722af069e1141520cf6d13afd7f7bd45e2671149714f909f",
+    "5241f5a9dd25559b3d02068b13423f0c37c8a1dc959a18aa44f059f086e93406",
+)
+
+
+def test_search_reports_pinned():
+    rng = random.Random(101)
+    for index, expected in enumerate(SEARCH_REPORT_SHA256):
+        alg = random_nilpotent_algebra(rng, 3 + index % 5)
+        reports = [diagonal_search(alg).to_dict(),
+                   two_generator_search(alg, samples=2).to_dict()]
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, index
 
 
 def test_reproduce_mismatch_exit_1(tmp_path):

@@ -30,7 +30,7 @@ from nilalg import (
     verify_gradation,
 )
 
-from oracles import random_nilpotent_algebra
+from oracles import brute_diagonal_search, random_invertible, random_nilpotent_algebra
 
 F = Fraction
 
@@ -176,6 +176,39 @@ def test_diagonal_dimension_guard():
         diagonal_search(abelian_algebra(9))
 
 
+@st.composite
+def diagonal_cases(draw):
+    """(algebra, window): a random nilpotent table of dim 1-7 (Leibniz or
+    not), an abelian or chain algebra, or a small Leibniz catalog algebra,
+    plainly or in a random basis; window n - 1, n or n + 2."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    kind = draw(st.sampled_from(("random", "random", "random", "abelian",
+                                 "chain", "catalog")))
+    if kind == "random":
+        alg = random_nilpotent_algebra(rng, draw(st.integers(min_value=1, max_value=7)))
+    elif kind == "abelian":
+        alg = abelian_algebra(draw(st.integers(min_value=1, max_value=6)))
+    elif kind == "chain":
+        alg = chain_algebra(draw(st.integers(min_value=1, max_value=7)))
+    else:
+        alg = make(draw(st.sampled_from((FamilySpec("M3", 5, 1),
+                                         FamilySpec("M3", 6, 1)))))
+        if draw(st.booleans()):
+            alg = change_of_basis(alg, random_invertible(rng, alg.dim))
+    n = alg.dim
+    return alg, draw(st.sampled_from((n - 1, n, n + 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_cases())
+def test_diagonal_pruned_matches_brute_force(case):
+    # witness, assignments_tried and closure_failures all match the
+    # unpruned walk over every permutation
+    alg, window = case
+    assert (diagonal_search(alg, window).to_dict()
+            == brute_diagonal_search(alg, window).to_dict())
+
+
 def test_diagonal_agrees_with_search_on_m3_like_dim5():
     # dim-5 truncation of the M3 structure: a second chain driver f_2 forces
     # the degree collision d(f_2) = d(e_1) in both searches
@@ -257,6 +290,21 @@ def test_search_negation_of_witness_verifies(m5_10_4):
 def test_search_single_generator_chain():
     report = two_generator_search(chain_algebra(5))
     assert report.verdict == MAXIMUM_LENGTH
+
+
+def test_search_builds_adapted_algebra_on_demand(monkeypatch):
+    # the plain sample of the chain already closes, so only it is rewritten
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return change_of_basis(*args, **kwargs)
+
+    monkeypatch.setattr("nilalg.gradations.change_of_basis", counting)
+    report = two_generator_search(chain_algebra(5))
+    assert report.verdict == MAXIMUM_LENGTH
+    assert report.search["plain_sample"] is True
+    assert len(calls) == 1
 
 
 def test_search_degenerate_roles_error():
