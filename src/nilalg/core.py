@@ -229,26 +229,37 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
     Each term of the defect at (i, j, k) contains one of the table entries
     (j, k), (i, j) or (i, k), so triples where all three are zero have zero
     defect by bilinearity and are skipped; the rest run in (i, j, k) order.
+    A triple's defect is accumulated sparsely from the pair view
+    (i, j) -> ((k, c), ...) of the nonzero index: each term is a sum of
+    products of two structure constants, added into a dict keyed by basis
+    index.  The dense defect vector is built only for a violation.
     """
     n = alg.dim
+    pairs = {(i, j): terms for i, row in alg._by_left.items() for j, terms in row}
     right_of = [set() for _ in range(n)]  # right_of[i]: j with [e_i, e_j] != 0
-    for i, row in alg._by_left.items():
-        right_of[i].update(j for j, _ in row)
+    for i, j in pairs:
+        right_of[i].add(j)
     violations = []
     for i in range(n):
         for j in range(n):
-            left = alg.table_entry(i, j)  # [e_i, e_j]
-            if j in right_of[i]:
-                ks = range(n)
-            else:
-                ks = sorted(right_of[i] | right_of[j])
+            ij = pairs.get((i, j), ())  # [e_i, e_j]
+            ks = range(n) if ij else sorted(right_of[i] | right_of[j])
             for k in ks:
-                term1 = bracket_basis(alg, i, alg.table_entry(j, k))
-                term2 = bracket_vec_basis(alg, left, k)
-                term3 = bracket_vec_basis(alg, alg.table_entry(i, k), j)
-                defect = tuple(a - b + c for a, b, c in zip(term1, term2, term3))
-                if not is_zero_vector(defect):
-                    violations.append(LeibnizViolation((i, j, k), defect))
+                acc: dict[int, Fraction] = {}
+                for t, a in pairs.get((j, k), ()):  # [e_i, [e_j, e_k]]
+                    for m, b in pairs.get((i, t), ()):
+                        acc[m] = acc.get(m, ZERO) + a * b
+                for t, a in ij:  # - [[e_i, e_j], e_k]
+                    for m, b in pairs.get((t, k), ()):
+                        acc[m] = acc.get(m, ZERO) - a * b
+                for t, a in pairs.get((i, k), ()):  # + [[e_i, e_k], e_j]
+                    for m, b in pairs.get((t, j), ()):
+                        acc[m] = acc.get(m, ZERO) + a * b
+                if any(acc.values()):
+                    defect = [ZERO] * n
+                    for m, c in acc.items():
+                        defect[m] = c
+                    violations.append(LeibnizViolation((i, j, k), tuple(defect)))
     return LeibnizReport(n, tuple(violations))
 
 

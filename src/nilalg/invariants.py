@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Algebra, Subspace, bracket_basis, bracket_vec_basis
+from .core import Algebra, Subspace, bracket, bracket_basis, bracket_vec_basis
 from .errors import InvalidInputError, NotNilpotentError
 from .linalg import RowSpace, Vector, mat_vec, unit_vector
 
@@ -93,6 +93,21 @@ def right_mult_matrix(alg: Algebra, x) -> tuple[Vector, ...]:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def _profile_from_ranks(ranks) -> tuple[int, ...]:
+    """Jordan block sizes, descending, from the strictly falling ranks
+    n = rank(m^0) > rank(m^1) > ... > 0 of a nilpotent operator's powers.
+
+    The number of blocks of size >= k is rank(m^{k-1}) - rank(m^k).
+    """
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    profile = []
+    for k in range(1, len(at_least) + 1):
+        bigger = at_least[k] if k < len(at_least) else 0
+        profile.extend([k] * (at_least[k - 1] - bigger))
+    profile.sort(reverse=True)
+    return tuple(profile)
+
+
 def nilpotent_block_profile(m) -> tuple[int, ...]:
     """Jordan block sizes of a nilpotent matrix, sorted descending.
 
@@ -116,14 +131,7 @@ def nilpotent_block_profile(m) -> tuple[int, ...]:
             raise InvalidInputError("matrix is not nilpotent (rank descent stalls)")
         ranks.append(r)
         image = list(space.rows())
-    # blocks of size >= k: ker dims difference = rank_{k-1} - rank_k
-    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    profile = []
-    for k in range(1, len(at_least) + 1):
-        bigger = at_least[k] if k < len(at_least) else 0
-        profile.extend([k] * (at_least[k - 1] - bigger))
-    profile.sort(reverse=True)
-    return tuple(profile)
+    return _profile_from_ranks(ranks)
 
 
 def char_seq_at(alg: Algebra, x, series: CentralSeries | None = None
@@ -154,10 +162,19 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     attained on a dense open subset of L \\ L^2, so this finite sweep is
     generically exact; formally the result is a lower bound in the
     lexicographic order.
+
+    Candidates are visited in that order and each is dropped as soon as it
+    cannot beat the best sequence so far.  This is exact: R_x^k(L) lies in
+    L^{k+1}, so once the central series reaches zero R_x is nilpotent and
+    the ranks of its powers fall strictly.  Of all completions of the ranks
+    seen so far, the one falling by one per step is the only one with the
+    longest first block, so its profile is the lexicographic maximum; when
+    that bound is <= the best so far, C(x) cannot exceed it, and an equal
+    sequence never changes the maximum.  The result is therefore the same
+    lexicographic maximum that computing C(x) on every candidate gives.
     """
     n = alg.dim
-    series = lower_central_series(alg)
-    l2 = series.derived_subalgebra
+    l2 = lower_central_series(alg).derived_subalgebra
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
     candidates = []
@@ -179,11 +196,43 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
         candidates.append(vec)
         drawn += 1
     best = None
-    for vec in candidates:
-        seq = char_seq_at(alg, vec, series)
-        if best is None or best < seq:
+    for x in candidates:
+        seq = _pruned_char_seq(alg, x, best)
+        if seq is not None:
             best = seq
     return best
+
+
+def _pruned_char_seq(alg: Algebra, x, best: CharacteristicSequence | None
+                     ) -> CharacteristicSequence | None:
+    """C(x) if it is lexicographically above ``best``, else None.
+
+    Walks the ranks of R_x^k through the bracket: image_1 is spanned by the
+    columns [e_j, x], image_{k+1} by [v, x] over a basis v of image_k.  The
+    walk stops as soon as the lex-max completion of the ranks so far, which
+    falls by one per step, gives a profile <= ``best``.
+    """
+    n = alg.dim
+    ranks = [n]
+    image = None
+    while True:
+        bound = _profile_from_ranks(ranks + list(range(ranks[-1] - 1, -1, -1)))
+        if best is not None and bound <= best.seq:
+            return None
+        if ranks[-1] == 0:
+            return CharacteristicSequence(bound)
+        space = RowSpace(n)
+        if image is None:
+            for j in range(n):
+                space.add(bracket_basis(alg, j, x))
+        else:
+            for vec in image:
+                space.add(bracket(alg, vec, x))
+        if space.dim >= ranks[-1]:
+            raise NotNilpotentError(
+                "R_x is not nilpotent: matrix is not nilpotent (rank descent stalls)")
+        ranks.append(space.dim)
+        image = space.rows()
 
 
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,

@@ -12,7 +12,9 @@ every matrix entry, zero or not.  They read only ``Algebra.brackets`` and
 plain tuples, never the sparse index or ``RowSpace``, so the library's
 sparse kernels are checked against them for exact equality.  The
 brute-force diagonal search visits every permutation, so the pruned
-enumeration is checked against it, counters included.
+enumeration is checked against it, counters included; the exhaustive
+characteristic-sequence sweep computes C(x) in full on every candidate, so
+the rank-pruned sweep is checked against it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from nilalg import Algebra
+from nilalg import Algebra, InvalidInputError, char_seq_at, lower_central_series
 from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
@@ -30,7 +32,13 @@ from nilalg.gradations import (
     SymbolicDegree,
     verify_gradation,
 )
-from nilalg.linalg import invert
+from nilalg.invariants import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    CharacteristicSequence,
+    _random_rational_vector,
+)
+from nilalg.linalg import invert, unit_vector
 
 ZERO = Fraction(0)
 
@@ -181,6 +189,41 @@ def brute_diagonal_search(alg: Algebra, window: int | None = None) -> GradationR
               "closure_failures": closure_failures,
               "note": "exhaustive over injective interval maps in the given basis"}
     return GradationReport(NO_GRADATION_FOUND, search=search)
+
+
+def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
+                                       seed: int = DEFAULT_SEED) -> CharacteristicSequence:
+    """``characteristic_sequence`` without pruning: the same candidates in
+    the same order, each given its full C(x) by ``char_seq_at``."""
+    n = alg.dim
+    series = lower_central_series(alg)
+    l2 = series.derived_subalgebra
+    if l2.dim == n:
+        raise InvalidInputError("L^2 = L: the algebra has no generators")
+    candidates = []
+    outside = [i for i in range(n) if not l2.contains(unit_vector(n, i))]
+    for i in outside:
+        candidates.append(unit_vector(n, i))
+    for a in range(len(outside)):
+        for b in range(a + 1, len(outside)):
+            i, j = outside[a], outside[b]
+            vec = tuple(x + y for x, y in zip(unit_vector(n, i), unit_vector(n, j)))
+            if not l2.contains(vec):
+                candidates.append(vec)
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < samples:
+        vec = _random_rational_vector(rng, n)
+        if l2.contains(vec):
+            continue
+        candidates.append(vec)
+        drawn += 1
+    best = None
+    for vec in candidates:
+        seq = char_seq_at(alg, vec, series)
+        if best is None or best < seq:
+            best = seq
+    return best
 
 
 # -- generators -----------------------------------------------------------------

@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from nilalg import (
     Algebra,
+    FamilySpec,
     InvalidInputError,
     NotNilpotentError,
     abelian_algebra,
+    bracket,
     chain_algebra,
     change_of_basis,
     char_seq_at,
     characteristic_sequence,
     is_p_filiform,
     lower_central_series,
+    make,
     nilindex,
     nilpotent_block_profile,
     right_mult_matrix,
@@ -25,8 +28,11 @@ from nilalg.linalg import zero_vector
 
 from oracles import (
     conjugated_nilpotent,
+    exhaustive_characteristic_sequence,
     jordan_nilpotent,
     lie_family_series_dims,
+    random_invertible,
+    random_nilpotent_algebra,
     random_partition,
 )
 
@@ -195,6 +201,71 @@ def test_characteristic_sequence_rejects_perfect():
 def test_characteristic_sequence_sums_to_n(grid_algebras):
     for spec, alg in grid_algebras.items():
         assert sum(characteristic_sequence(alg).seq) == alg.dim, spec.name()
+
+
+@st.composite
+def char_seq_cases(draw):
+    """(algebra, samples, seed): a random nilpotent table of dim 1-8
+    (Leibniz or not), an abelian or chain algebra, M3/M4/M5 in a random
+    invertible basis, or a Lie-family algebra at n >= 10 in its own basis."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    kind = draw(st.sampled_from(("random", "random", "random", "abelian",
+                                 "chain", "catalog", "lie")))
+    if kind == "random":
+        alg = random_nilpotent_algebra(rng, draw(st.integers(min_value=1, max_value=8)))
+    elif kind == "abelian":
+        alg = abelian_algebra(draw(st.integers(min_value=1, max_value=6)))
+    elif kind == "chain":
+        alg = chain_algebra(draw(st.integers(min_value=1, max_value=8)))
+    elif kind == "catalog":
+        alg = make(draw(st.sampled_from((FamilySpec("M3", 6, 1),
+                                         FamilySpec("M4", 8, 4, (), 0),
+                                         FamilySpec("M4", 8, 4, (), 1),
+                                         FamilySpec("M5", 8, 4)))))
+        alg = change_of_basis(alg, random_invertible(rng, alg.dim))
+    else:
+        alg = make(draw(st.sampled_from((FamilySpec("L", 10, 2, (3,)),
+                                         FamilySpec("Q", 11, 2, (3,)),
+                                         FamilySpec("TAU_NP1", 12, 4, (3, 5)),
+                                         FamilySpec("L", 12, 4, (3, 5, 7))))))
+    return alg, draw(st.integers(min_value=0, max_value=12)), rng.randrange(10 ** 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(char_seq_cases())
+def test_characteristic_sequence_matches_exhaustive_sweep(case):
+    # the rank-pruned sweep returns the same lexicographic maximum as
+    # computing C(x) in full on every candidate
+    alg, samples, seed = case
+    assert (characteristic_sequence(alg, samples=samples, seed=seed)
+            == exhaustive_characteristic_sequence(alg, samples=samples, seed=seed))
+
+
+def test_characteristic_sequence_matches_exhaustive_on_seeded_tables():
+    # a fixed sweep over tables where later candidates often beat earlier
+    # ones, so a bound that is too low prunes a winner and shows here
+    for seed in range(100):
+        alg = random_nilpotent_algebra(random.Random(seed), 6 + seed % 3)
+        samples = seed % 13
+        assert (characteristic_sequence(alg, samples=samples, seed=seed)
+                == exhaustive_characteristic_sequence(alg, samples=samples, seed=seed)), seed
+
+
+def test_characteristic_sequence_prunes_candidates(monkeypatch):
+    # Every candidate's first rank step uses bracket_basis; the steps after
+    # it go through ``bracket`` with the candidate as right argument.  The
+    # exhaustive sweep takes all 31 candidates of M4(8,4,1) past step one.
+    alg = make(FamilySpec("M4", 8, 4, (), 1))
+    reached = []
+
+    def counting(a, v, x):
+        if not reached or reached[-1] is not x:
+            reached.append(x)
+        return bracket(a, v, x)
+
+    monkeypatch.setattr("nilalg.invariants.bracket", counting)
+    assert characteristic_sequence(alg).seq == (4, 1, 1, 1, 1)
+    assert 0 < len(reached) < 31
 
 
 def test_is_p_filiform_examples(m5_10_4):

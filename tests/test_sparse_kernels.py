@@ -14,9 +14,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from nilalg import (
+    Algebra,
     FamilySpec,
     Subspace,
     bracket,
+    chain_algebra,
     change_of_basis,
     check_leibniz,
     lower_central_series,
@@ -97,6 +99,48 @@ def test_leibniz_sweep_sees_non_leibniz_tables():
             assert tuple((v.triple, v.defect) for v in got) == expected
             return
     raise AssertionError("no non-Leibniz table among the seeds")
+
+
+def assert_violations_match_dense(alg):
+    violations = check_leibniz(alg).violations
+    triples = [v.triple for v in violations]
+    assert triples == sorted(triples)
+    assert all(type(c) is Fraction for v in violations for c in v.defect)
+    assert tuple((v.triple, v.defect) for v in violations) == dense_leibniz_violations(alg)
+    return triples
+
+
+def test_leibniz_exact_cancellation_is_no_violation():
+    # [e1, [e1, e1]] = [e1, e2 - e3] = e4 - e4: two contributions to e4
+    # that cancel inside one term
+    alg = Algebra.from_products(4, ("e1", "e2", "e3", "e4"), {
+        (0, 0): [(1, F(1)), (2, F(-1))],
+        (0, 1): [(3, F(1))],
+        (0, 2): [(3, F(1))]})
+    assert assert_violations_match_dense(alg) == []
+    # in the chain, [[e_i, e1], e1] enters the defect at (i, 1, 1) twice
+    # with opposite signs
+    assert assert_violations_match_dense(chain_algebra(5)) == []
+
+
+def test_leibniz_violations_with_rational_constants():
+    # [e1, e1] = e2, [e2, e2] = 2/3 e3, [e3, e1] = -5/2 e4.  At (2, 1, 1)
+    # only (j, k) = (1, 1) is an entry and at (2, 1, 2) only (i, k) = (2, 2)
+    # is (1-based labels); both triples are violations.
+    alg = Algebra.from_products(4, ("e1", "e2", "e3", "e4"), {
+        (0, 0): [(1, F(1))],
+        (1, 1): [(2, F(2, 3))],
+        (2, 0): [(3, F(-5, 2))]})
+    triples = assert_violations_match_dense(alg)
+    assert (1, 0, 0) in triples and (1, 0, 1) in triples
+    defect = dict((v.triple, v.defect) for v in check_leibniz(alg).violations)
+    assert defect[(1, 0, 1)] == (0, 0, 0, F(-5, 3))
+
+
+def test_leibniz_defects_are_fractions_for_integer_tables():
+    # a table given with int constants still yields Fraction defects
+    alg = Algebra(3, ("e1", "e2", "e3"), {(0, 0): (0, 1, 0), (1, 1): (0, 0, 3)})
+    assert (1, 0, 0) in assert_violations_match_dense(alg)
 
 
 @settings(max_examples=30, deadline=None)
