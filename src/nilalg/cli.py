@@ -203,6 +203,10 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
     if theorem not in THEOREM_PIPELINES:
         raise InvalidInputError(
             f"unknown theorem {theorem!r}; known: {', '.join(THEOREM_PIPELINES)}")
+    if (kt_window is not None and kt_window < 0) or samples < 0:
+        raise InvalidInputError(
+            f"need kt_window >= 0 and samples >= 0, got kt_window={kt_window}, "
+            f"samples={samples}")
     default_grid, expected = THEOREM_PIPELINES[theorem]
     instances = grid if grid is not None else default_grid
     report = _tool_header(seed)

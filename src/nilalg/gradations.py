@@ -614,6 +614,10 @@ def two_generator_search(alg: Algebra, kt_window: int | None = None,
     n = alg.dim
     if kt_window is None:
         kt_window = 2 * n
+    if kt_window < 0 or samples < 0:
+        raise InvalidInputError(
+            f"need kt_window >= 0 and samples >= 0, got kt_window={kt_window}, "
+            f"samples={samples}")
     series = lower_central_series(alg)
     l2 = series.derived_subalgebra
     if l2.dim == n:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
-from .core import Algebra, Subspace, bracket, bracket_basis, bracket_vec_basis
+from .core import Algebra, Subspace, bracket_basis, bracket_vec_basis
 from .errors import InvalidInputError, NotNilpotentError
 from .linalg import RowSpace, Vector, mat_vec, unit_vector
 
@@ -148,8 +148,11 @@ def char_seq_at(alg: Algebra, x, series: CentralSeries | None = None
     return CharacteristicSequence(profile)
 
 
-def _random_rational_vector(rng: random.Random, n: int) -> Vector:
-    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+def _random_integer_vector(rng: random.Random, n: int) -> tuple[int, ...]:
+    """12 times a random rational vector with entries a/b, -6 <= a <= 6 and
+    1 <= b <= 4: the same draws in the same order, with 12 // b in place of
+    the denominator."""
+    return tuple(rng.randint(-6, 6) * (12 // rng.randint(1, 4)) for _ in range(n))
 
 
 def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
@@ -163,6 +166,15 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     generically exact; formally the result is a lower bound in the
     lexicographic order.
 
+    The sweep runs on Python integers.  C(lambda x) = C(x) for lambda != 0,
+    so each random vector is drawn scaled by 12, which clears every
+    denominator of its entries; and the table is scaled by the common
+    denominator D of its structure constants, which turns R_x^k into
+    D^k R_x^k and leaves every rank, hence every C(x), unchanged.  Ranks
+    come from a fraction-free echelon, so no ``Fraction`` enters the loop.
+    ``char_seq_at`` and ``nilpotent_block_profile`` remain the ``Fraction``
+    reference for a single vector.
+
     Candidates are visited in that order and each is dropped as soon as it
     cannot beat the best sequence so far.  This is exact: R_x^k(L) lies in
     L^{k+1}, so once the central series reaches zero R_x is nilpotent and
@@ -173,66 +185,139 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     sequence never changes the maximum.  The result is therefore the same
     lexicographic maximum that computing C(x) on every candidate gives.
     """
+    if samples < 0:
+        raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
     l2 = lower_central_series(alg).derived_subalgebra
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
+    # L^2's basis rows scaled to integers; RREF rows are zero at each
+    # other's pivots, so they serve as a fraction-free echelon.
+    l2_rows = []
+    for p, row in zip(l2.pivots, l2.basis):
+        den = lcm(*(c.denominator for c in row))
+        l2_rows.append((p, [c.numerator * (den // c.denominator) for c in row]))
+
+    def outside_l2(vec) -> bool:
+        return any(_int_residue(l2_rows, vec))
+
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     candidates = []
-    outside = [i for i in range(n) if not l2.contains(unit_vector(n, i))]
+    outside = [i for i in range(n) if outside_l2(units[i])]
     for i in outside:
-        candidates.append(unit_vector(n, i))
+        candidates.append(units[i])
     for a in range(len(outside)):
         for b in range(a + 1, len(outside)):
             i, j = outside[a], outside[b]
-            vec = tuple(x + y for x, y in zip(unit_vector(n, i), unit_vector(n, j)))
-            if not l2.contains(vec):
+            vec = tuple(x + y for x, y in zip(units[i], units[j]))
+            if outside_l2(vec):
                 candidates.append(vec)
     rng = random.Random(seed)
     drawn = 0
     while drawn < samples:
-        vec = _random_rational_vector(rng, n)
-        if l2.contains(vec):
+        vec = _random_integer_vector(rng, n)
+        if not outside_l2(vec):
             continue
         candidates.append(vec)
         drawn += 1
+    index = _integer_index(alg)
     best = None
     for x in candidates:
-        seq = _pruned_char_seq(alg, x, best)
+        seq = _pruned_char_seq(index, n, x, best)
         if seq is not None:
             best = seq
     return best
 
 
-def _pruned_char_seq(alg: Algebra, x, best: CharacteristicSequence | None
+def _integer_index(alg: Algebra) -> dict[int, list]:
+    """``alg._by_left`` with each structure constant c replaced by the
+    integer D*c, D the least common denominator of all of them."""
+    den = lcm(1, *(c.denominator for row in alg._by_left.values()
+                   for _, terms in row for _, c in terms))
+    return {i: [(j, tuple((k, c.numerator * (den // c.denominator)) for k, c in terms))
+                for j, terms in row]
+            for i, row in alg._by_left.items()}
+
+
+def _int_residue(rows, vec) -> list[int]:
+    """Residue of integer ``vec`` against the independent integer rows
+    [(pivot, row)], divided by its content.
+
+    Each row is nonzero at its pivot and zero at the pivots of the rows
+    before it, so eliminating in list order clears every pivot: the residue
+    is zero iff ``vec`` lies in the span of the rows.
+    """
+    v = list(vec)
+    for p, row in rows:
+        c = v[p]
+        if c:
+            a = row[p]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            v = [a * s - c * t for s, t in zip(v, row)]
+    g = gcd(*v)
+    if g > 1:
+        v = [s // g for s in v]
+    return v
+
+
+def _right_image(columns, v) -> list[int]:
+    """[v, x] = sum_j v_j [e_j, x], from the sparse columns [e_j, x]."""
+    out = [0] * len(v)
+    for j, c in enumerate(v):
+        if c:
+            for k, a in columns[j]:
+                out[k] += c * a
+    return out
+
+
+def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
                      ) -> CharacteristicSequence | None:
     """C(x) if it is lexicographically above ``best``, else None.
 
-    Walks the ranks of R_x^k through the bracket: image_1 is spanned by the
+    ``index`` is the integer nonzero index of ``_integer_index`` and ``x``
+    an integer vector.  Walks the ranks of R_x^k: image_1 is spanned by the
     columns [e_j, x], image_{k+1} by [v, x] over a basis v of image_k.  The
     walk stops as soon as the lex-max completion of the ranks so far, which
     falls by one per step, gives a profile <= ``best``.
     """
-    n = alg.dim
+    columns = []  # [e_j, x]: the first image's spanning rows
+    for j in range(n):
+        col = [0] * n
+        for t, terms in index.get(j, ()):
+            c = x[t]
+            if c:
+                for k, a in terms:
+                    col[k] += c * a
+        columns.append(col)
+    sparse = None  # the same columns as [(k, c), ...], built at step two
     ranks = [n]
-    image = None
+    rows = None
     while True:
         bound = _profile_from_ranks(ranks + list(range(ranks[-1] - 1, -1, -1)))
         if best is not None and bound <= best.seq:
             return None
         if ranks[-1] == 0:
             return CharacteristicSequence(bound)
-        space = RowSpace(n)
-        if image is None:
-            for j in range(n):
-                space.add(bracket_basis(alg, j, x))
+        if rows is None:
+            vectors = columns
         else:
-            for vec in image:
-                space.add(bracket(alg, vec, x))
-        if space.dim >= ranks[-1]:
+            if sparse is None:
+                sparse = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
+            vectors = [_right_image(sparse, row) for _, row in rows]
+        rows = []
+        for vec in vectors:
+            if any(vec):
+                residue = _int_residue(rows, vec)
+                for pivot, c in enumerate(residue):
+                    if c:
+                        rows.append((pivot, residue))
+                        break
+        if len(rows) >= ranks[-1]:
             raise NotNilpotentError(
                 "R_x is not nilpotent: matrix is not nilpotent (rank descent stalls)")
-        ranks.append(space.dim)
-        image = space.rows()
+        ranks.append(len(rows))
 
 
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,

@@ -32,12 +32,7 @@ from nilalg.gradations import (
     SymbolicDegree,
     verify_gradation,
 )
-from nilalg.invariants import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    CharacteristicSequence,
-    _random_rational_vector,
-)
+from nilalg.invariants import DEFAULT_SAMPLES, DEFAULT_SEED, CharacteristicSequence
 from nilalg.linalg import invert, unit_vector
 
 ZERO = Fraction(0)
@@ -191,6 +186,13 @@ def brute_diagonal_search(alg: Algebra, window: int | None = None) -> GradationR
     return GradationReport(NO_GRADATION_FOUND, search=search)
 
 
+def random_rational_vector(rng: random.Random, n: int) -> tuple:
+    """Entries a/b with -6 <= a <= 6 and 1 <= b <= 4, drawn a then b: the
+    vectors the characteristic-sequence sweep draws, before it scales them
+    by 12 to integers."""
+    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+
+
 def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
                                        seed: int = DEFAULT_SEED) -> CharacteristicSequence:
     """``characteristic_sequence`` without pruning: the same candidates in
@@ -213,7 +215,7 @@ def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMP
     rng = random.Random(seed)
     drawn = 0
     while drawn < samples:
-        vec = _random_rational_vector(rng, n)
+        vec = random_rational_vector(rng, n)
         if l2.contains(vec):
             continue
         candidates.append(vec)

@@ -125,6 +125,22 @@ def test_grade_search_positive_exit_0(tmp_path, capsys):
     assert "witness" in report["gradation"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["grade", "search", "{path}", "--kt-window", "-1"],
+    ["grade", "search", "{path}", "--samples", "-1"],
+    ["invariants", "{path}", "--samples", "-4"],
+    ["reproduce", "--theorem", "thm34", "--kt-window", "-1", "--summary"],
+])
+def test_negative_search_parameters_exit_2(tmp_path, capsys, argv):
+    # a negative window or sample count used to give a vacuous verdict, a
+    # misleading DegenerateSampleError or a silent zero
+    path = write_algebra(tmp_path, FamilySpec("M4", 10, 4, (), 0))
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need") and ">= 0" in captured.err
+
+
 def test_grade_diagonal(tmp_path, capsys):
     path = tmp_path / "chain.json"
     from nilalg import chain_algebra

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from nilalg import (
     InvalidInputError,
     NotNilpotentError,
     abelian_algebra,
-    bracket,
     chain_algebra,
     change_of_basis,
     char_seq_at,
@@ -24,6 +25,7 @@ from nilalg import (
     nilpotent_block_profile,
     right_mult_matrix,
 )
+from nilalg import invariants
 from nilalg.linalg import zero_vector
 
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     random_invertible,
     random_nilpotent_algebra,
     random_partition,
+    random_rational_vector,
 )
 
 F = Fraction
@@ -252,20 +255,90 @@ def test_characteristic_sequence_matches_exhaustive_on_seeded_tables():
 
 
 def test_characteristic_sequence_prunes_candidates(monkeypatch):
-    # Every candidate's first rank step uses bracket_basis; the steps after
-    # it go through ``bracket`` with the candidate as right argument.  The
-    # exhaustive sweep takes all 31 candidates of M4(8,4,1) past step one.
+    # Every candidate's first rank step reads its columns [e_j, x] directly;
+    # the steps after it go through ``_right_image`` with those columns.
+    # The exhaustive sweep takes all 31 candidates of M4(8,4,1) past step one.
     alg = make(FamilySpec("M4", 8, 4, (), 1))
     reached = []
+    right_image = invariants._right_image
 
-    def counting(a, v, x):
-        if not reached or reached[-1] is not x:
-            reached.append(x)
-        return bracket(a, v, x)
+    def counting(columns, v):
+        if not reached or reached[-1] is not columns:
+            reached.append(columns)
+        return right_image(columns, v)
 
-    monkeypatch.setattr("nilalg.invariants.bracket", counting)
+    monkeypatch.setattr(invariants, "_right_image", counting)
     assert characteristic_sequence(alg).seq == (4, 1, 1, 1, 1)
     assert 0 < len(reached) < 31
+
+
+def test_integer_draw_is_twelve_times_rational_draw():
+    # the sweep's candidates are the rational draws scaled by 12, taken from
+    # the same RNG calls in the same order
+    for seed in range(25):
+        for n in (1, 2, 5, 8, 13):
+            ints, fracs = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert (invariants._random_integer_vector(ints, n)
+                        == tuple(12 * c for c in random_rational_vector(fracs, n)))
+            assert ints.getstate() == fracs.getstate()
+
+
+def _to_integers(x):
+    den = lcm(*(F(c).denominator for c in x))
+    return tuple(int(c * den) for c in x)
+
+
+@st.composite
+def rational_tables(draw):
+    """A random nilpotent table with each structure constant multiplied by
+    a non-integer rational, optionally moved to a random basis."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    base = random_nilpotent_algebra(rng, draw(st.integers(min_value=2, max_value=7)))
+    scales = st.sampled_from((F(2, 3), F(-5, 2), F(7, 4), F(-1, 6), F(9, 5)))
+    table = {key: tuple(c * draw(scales) if c else c for c in vec)
+             for key, vec in sorted(base.brackets.items())}
+    alg = Algebra(base.dim, base.basis_labels, table)
+    if draw(st.booleans()):
+        alg = change_of_basis(alg, random_invertible(rng, alg.dim))
+    return alg
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_tables(),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=7),
+                min_size=7, max_size=7),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_integer_walk_matches_fraction_reference(alg, coords, seed):
+    # on every candidate of the sweep, and on a random rational x outside
+    # L^2, the integer walk without pruning gives C(x) of ``char_seq_at``
+    n = alg.dim
+    series = lower_central_series(alg)
+    index = invariants._integer_index(alg)
+    with mock.patch.object(invariants, "_pruned_char_seq",
+                           wraps=invariants._pruned_char_seq) as walk:
+        characteristic_sequence(alg, samples=4, seed=seed)
+    assert walk.call_args_list
+    for call in walk.call_args_list:
+        x = call.args[2]
+        assert (invariants._pruned_char_seq(index, n, x, None)
+                == char_seq_at(alg, tuple(F(c) for c in x), series))
+    x = tuple(coords[:n])
+    if not series.derived_subalgebra.contains(x):
+        assert (invariants._pruned_char_seq(index, n, _to_integers(x), None)
+                == char_seq_at(alg, x, series))
+
+
+def test_integer_walk_rejects_non_nilpotent_operator():
+    # R_{e_1} maps e_1 to 2/3 e_1 (dim 1) or e_2 to -5/2 e_2 (dim 2), so the
+    # ranks of its powers stall above zero, as in the Fraction reference
+    one = Algebra.from_products(1, ("e1",), {(0, 0): [(0, F(2, 3))]})
+    two = Algebra.from_products(2, ("e1", "e2"), {(1, 0): [(1, F(-5, 2))]})
+    for alg, x in ((one, (3,)), (two, (1, 0))):
+        with pytest.raises(NotNilpotentError):
+            invariants._pruned_char_seq(invariants._integer_index(alg), alg.dim, x, None)
+        with pytest.raises(InvalidInputError):
+            nilpotent_block_profile(right_mult_matrix(alg, tuple(F(c) for c in x)))
 
 
 def test_is_p_filiform_examples(m5_10_4):
