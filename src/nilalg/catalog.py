@@ -12,12 +12,11 @@ Omitted products are zero throughout.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Algebra
+from .core import Algebra, load_json
 from .errors import InvalidInputError
 from .gradations import DegreeAssignment, GeneratorRoles, m4_1_witness
 
@@ -84,11 +83,7 @@ class FamilySpec:
 
     @staticmethod
     def from_json(text: str) -> "FamilySpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"invalid JSON: {exc}") from exc
-        return FamilySpec.from_dict(data)
+        return FamilySpec.from_dict(load_json(text))
 
 
 def list_families() -> dict[str, str]:

@@ -31,6 +31,7 @@ from .core import (
     algebra_to_json,
     check_leibniz,
     is_lie,
+    load_json,
 )
 from .errors import InvalidInputError, NilalgError, NotNilpotentError
 from .gradations import (
@@ -80,21 +81,17 @@ def _emit(report: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _load_algebra(path: str) -> Algebra:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            return algebra_from_json(fh.read())
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _spec_from_args(args) -> FamilySpec:
     if args.spec:
-        try:
-            with open(args.spec) as fh:
-                return FamilySpec.from_json(fh.read())
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {args.spec}: {exc}") from exc
+        return FamilySpec.from_json(_read_text(args.spec))
     if not args.family or args.n is None or args.p is None:
         raise InvalidInputError("catalog make needs --family, --n and --p (or --spec)")
     r = ()
@@ -133,7 +130,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = algebra_from_json(_read_text(args.file))
     seed = args.seed
     report = _tool_header(seed)
     report["input"] = {"algebra_sha256": _algebra_hash(alg)}
@@ -164,7 +161,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_grade(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = algebra_from_json(_read_text(args.file))
     seed = args.seed
     report = _tool_header(seed)
     report["input"] = {"algebra_sha256": _algebra_hash(alg)}
@@ -172,18 +169,13 @@ def cmd_grade(args) -> int:
     if args.grade_cmd == "verify":
         if not args.assignment:
             raise InvalidInputError("grade verify needs --assignment FILE")
-        try:
-            with open(args.assignment) as fh:
-                assignment = DegreeAssignment.from_json(fh.read(), alg)
-        except OSError as exc:
-            raise InvalidInputError(
-                f"cannot read {args.assignment}: {exc}") from exc
+        assignment = DegreeAssignment.from_json(_read_text(args.assignment), alg)
         result = verify_gradation(alg, assignment)
     elif args.grade_cmd == "search":
-        result = two_generator_search(alg, kt_window=args.kt_window,
-                                      samples=args.samples_search, seed=seed)
+        result = two_generator_search(alg, samples=args.samples_search,
+                                      seed=seed)
     else:
-        result = diagonal_search(alg, window=args.window)
+        result = diagonal_search(alg)
     report["gradation"] = result.to_dict(alg if args.grade_cmd == "verify"
                                          else None)
     if result.is_maximum_length and result.witness is not None:
@@ -197,16 +189,11 @@ def cmd_grade(args) -> int:
 
 
 def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
-                 seed: int = DEFAULT_SEED, kt_window: int | None = None,
-                 samples: int = 3) -> tuple[int, dict]:
+                 seed: int = DEFAULT_SEED) -> tuple[int, dict]:
     """Re-verify one theorem on its instance grid; returns (exit code, report)."""
     if theorem not in THEOREM_PIPELINES:
         raise InvalidInputError(
             f"unknown theorem {theorem!r}; known: {', '.join(THEOREM_PIPELINES)}")
-    if (kt_window is not None and kt_window < 0) or samples < 0:
-        raise InvalidInputError(
-            f"need kt_window >= 0 and samples >= 0, got kt_window={kt_window}, "
-            f"samples={samples}")
     default_grid, expected = THEOREM_PIPELINES[theorem]
     instances = grid if grid is not None else default_grid
     report = _tool_header(seed)
@@ -233,8 +220,7 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
             record["witness_source"] = "catalog"
             record["witness"] = witness.to_dict(alg)
         else:
-            result = two_generator_search(alg, kt_window=kt_window,
-                                          samples=samples, seed=seed,
+            result = two_generator_search(alg, seed=seed,
                                           roles=generator_roles(spec))
             record["witness_source"] = "search"
         record["gradation"] = result.to_dict(alg if witness is not None else None)
@@ -254,18 +240,11 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
 def cmd_reproduce(args) -> int:
     grid = None
     if args.grid:
-        try:
-            with open(args.grid) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {args.grid}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"invalid grid JSON: {exc}") from exc
+        data = load_json(_read_text(args.grid))
         if not isinstance(data, list):
             raise InvalidInputError("grid JSON must be a list of family specs")
         grid = [FamilySpec.from_dict(entry) for entry in data]
-    code, report = run_pipeline(args.theorem, grid=grid, seed=args.seed,
-                                kt_window=args.kt_window)
+    code, report = run_pipeline(args.theorem, grid=grid, seed=args.seed)
     _emit(report, args.out)
     if args.summary:
         for record in report["instances"]:
@@ -324,16 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             g.add_argument("--assignment", help="degree assignment JSON file")
         if name == "search":
-            g.add_argument("--kt-window", type=int, default=None)
             g.add_argument("--samples", dest="samples_search", type=int, default=3)
-        if name == "diagonal":
-            g.add_argument("--window", type=int, default=None)
 
     rep = sub.add_parser("reproduce", help="re-verify a classification theorem")
     rep.add_argument("--theorem", required=True,
                      choices=sorted(THEOREM_PIPELINES))
     rep.add_argument("--grid", help="JSON list of family specs")
-    rep.add_argument("--kt-window", type=int, default=None)
     rep.add_argument("--seed", type=int, default=None)
     rep.add_argument("--summary", action="store_true",
                      help="print a plain-text summary to stderr")

@@ -15,6 +15,7 @@ function, so concurrent use needs no locking.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -34,12 +35,45 @@ from .linalg import (
 )
 
 
+# Python's default limit on int <-> str conversion; a larger numerator or
+# denominator could not be written back into a report.
+MAX_SCALAR_DIGITS = 4300
+
+
+def load_json(text: str):
+    """``json.loads`` raising InvalidInputError on any malformed document.
+
+    ValueError, the base class of JSONDecodeError, also covers an integer
+    literal over the int-conversion digit limit; RecursionError covers
+    nesting deeper than the interpreter's stack.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInputError(f"invalid JSON: {exc}") from exc
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse a canonical rational string like "-3/2" or "1"."""
+    """Parse a canonical rational string like "-3/2" or "1".
+
+    Exponent notation and numerators or denominators over
+    MAX_SCALAR_DIGITS digits are refused before any arithmetic: a
+    nine-character "1e9999999" would otherwise build a ten-million-digit
+    integer.  A decimal point counts as a digit, since ".5" has the
+    two-digit denominator 10.
+    """
+    shown = reprlib.repr(text)
+    if "e" in text.lower():
+        raise InvalidInputError(
+            f"bad rational scalar {shown}: exponent notation is not accepted")
+    if any(sum(ch.isdigit() or ch == "." for ch in part) > MAX_SCALAR_DIGITS
+           for part in text.split("/")):
+        raise InvalidInputError(
+            f"bad rational scalar {shown}: more than {MAX_SCALAR_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"bad rational scalar {text!r}: {exc}") from exc
+        raise InvalidInputError(f"bad rational scalar {shown}: {exc}") from exc
 
 
 def format_scalar(value: Fraction) -> str:
@@ -90,6 +124,8 @@ class Algebra:
     routines read a nonzero index built once at construction: ``_by_left``
     maps i to [(j, ((k, c), ...))] and ``_by_right`` maps j to
     [(i, ((k, c), ...))], listing only the nonzero coefficients c of e_k.
+    ``_triples`` lists every (i, j, k) with a nonzero coefficient of e_k in
+    [e_i, e_j], for degree checks that need only the support.
     """
 
     dim: int
@@ -105,6 +141,7 @@ class Algebra:
             raise InvalidInputError("basis labels must be distinct")
         by_left: dict[int, list] = {}
         by_right: dict[int, list] = {}
+        triples: list[tuple[int, int, int]] = []
         for (i, j), vec in self.brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise InvalidInputError(f"bracket index ({i},{j}) out of range")
@@ -116,8 +153,10 @@ class Algebra:
             if terms:
                 by_left.setdefault(i, []).append((j, terms))
                 by_right.setdefault(j, []).append((i, terms))
+                triples.extend((i, j, k) for k, _ in terms)
         object.__setattr__(self, "_by_left", by_left)
         object.__setattr__(self, "_by_right", by_right)
+        object.__setattr__(self, "_triples", tuple(triples))
 
     # -- construction helpers -------------------------------------------
 
@@ -405,8 +444,4 @@ def algebra_from_dict(data: dict) -> Algebra:
 
 
 def algebra_from_json(text: str) -> Algebra:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"invalid JSON: {exc}") from exc
-    return algebra_from_dict(data)
+    return algebra_from_dict(load_json(text))

@@ -8,15 +8,17 @@ literal one, making verdicts shift- and negation-invariant), (b) the
 degrees are all distinct (components of dimension one), (c) the attained
 degrees form an integer interval, and (d) that interval has size dim(L).
 
-Two search strategies are provided.  ``diagonal_search`` exhaustively
-enumerates injective interval assignments in the given basis (small
-dimensions only), pruning every prefix that already fails closure.
+Two search strategies are provided, each over a fixed window that the
+report records.  ``diagonal_search`` exhaustively enumerates injective
+interval assignments in the given basis with bases -n..1 (``"window": n``;
+small dimensions only), pruning every prefix that already fails closure.
 ``two_generator_search`` follows the adapted-basis scheme: pick
 homogeneous generators (one chain driver of degree 1 plus the remaining
 generators with unknown degrees), close them under bracketing while
 propagating symbolic degrees, and test every integer value of the unknown
-degrees in a window.  A negative answer means no gradation was found
-under that scheme; it is not a formal non-existence certificate.
+degrees in [-2n, 2n] (``"kt_window": 2n``).  A negative answer means no
+gradation was found under that scheme; it is not a formal non-existence
+certificate.
 
 Search candidates are examined in a fixed order (lowest unknown tuple
 first, samples in build order) and the first witness wins, so results are
@@ -25,7 +27,6 @@ independent of any execution interleaving.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,10 +35,10 @@ from math import factorial
 
 from .core import (
     Algebra,
-    Subspace,
     bracket,
     change_of_basis,
     is_lie,
+    load_json,
     square_ideal,
 )
 from .errors import DegenerateSampleError, InvalidInputError
@@ -47,7 +48,7 @@ from .invariants import (
     characteristic_sequence,
     lower_central_series,
 )
-from .linalg import RowSpace, Vector, ZERO, invert, is_zero_vector, unit_vector
+from .linalg import RowSpace, Vector, ZERO, is_zero_vector, unit_vector
 
 MAXIMUM_LENGTH = "maximum_length"
 NOT_MAXIMUM_LENGTH = "not_maximum_length"
@@ -103,11 +104,7 @@ class DegreeAssignment:
 
     @staticmethod
     def from_json(text: str, alg: Algebra) -> "DegreeAssignment":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"invalid JSON: {exc}") from exc
-        return DegreeAssignment.from_dict(data, alg)
+        return DegreeAssignment.from_dict(load_json(text), alg)
 
 
 @dataclass(frozen=True)
@@ -129,17 +126,6 @@ class SymbolicDegree:
 
     def value(self, ks: int, kts: tuple[int, ...]) -> int:
         return self.a * ks + sum(x * k for x, k in zip(self.b, kts)) + self.c
-
-    def describe(self, names: tuple[str, ...]) -> str:
-        terms = []
-        if self.a:
-            terms.append(f"{self.a}*k_s" if self.a != 1 else "k_s")
-        for coeff, name in zip(self.b, names):
-            if coeff:
-                terms.append(f"{coeff}*{name}" if coeff != 1 else name)
-        if self.c or not terms:
-            terms.append(str(self.c))
-        return " + ".join(terms)
 
 
 # -- gradation verification -------------------------------------------------
@@ -163,11 +149,6 @@ class GradationChecks:
     connected: bool
     interval: tuple[int, int] | None
     offset: int | None = None
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.closure and self.nonempty and self.dim_one
-                and self.distinct and self.connected)
 
     def to_dict(self) -> dict:
         return {"closure": self.closure, "nonempty": self.nonempty,
@@ -213,16 +194,12 @@ def _closure_offset(alg: Algebra, degs: list[int]) -> tuple[bool, int | None]:
     and (False, None) otherwise.
     """
     offset = None
-    for (i, j), vec in alg.brackets.items():
-        base = degs[i] + degs[j]
-        for k, c in enumerate(vec):
-            if not c:
-                continue
-            this = base - degs[k]
-            if offset is None:
-                offset = this
-            elif this != offset:
-                return False, None
+    for i, j, k in alg._triples:
+        this = degs[i] + degs[j] - degs[k]
+        if offset is None:
+            offset = this
+        elif this != offset:
+            return False, None
     return True, offset
 
 
@@ -250,19 +227,17 @@ def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
     connected = (hi - lo + 1) == len(seen)
     nonempty = connected  # no empty component inside the covering interval
     closure, offset = _closure_offset(alg, degs)
-    max_length = distinct and connected and (hi - lo + 1) == n
     checks = GradationChecks(closure, nonempty, dim_one, distinct, connected,
                              (lo, hi), offset)
-    if closure and max_length:
+    # distinct and connected already give an interval of size n
+    if closure and distinct and connected:
         return GradationReport(MAXIMUM_LENGTH, witness=d, checks=checks)
     if not distinct:
         reason = REASON_COLLISION
     elif not connected:
         reason = REASON_DISCONNECTED
-    elif not closure:
-        reason = REASON_CLOSURE
     else:
-        reason = f"interval size {hi - lo + 1} != dim {n}"
+        reason = REASON_CLOSURE
     return GradationReport(NOT_MAXIMUM_LENGTH, witness=d, reason=reason,
                            checks=checks)
 
@@ -273,7 +248,6 @@ def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
 class NaturalGradation:
     """gr L = sum of L^i / L^{i+1} in a chosen homogeneous complement basis."""
 
-    components: tuple[Subspace, ...]
     component_dims: tuple[int, ...]
     degrees: tuple[int, ...]          # degree of each adapted basis vector
     basis_matrix: tuple[Vector, ...]  # rows: adapted basis in original coords
@@ -296,37 +270,24 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
     reps: list[Vector] = []
     degrees: list[int] = []
     labels: list[str] = []
-    components = []
     for k in range(len(terms) - 1):
         nxt_pivots = set(terms[k + 1].pivots)
-        layer = [row for row, piv in zip(terms[k].basis, terms[k].pivots)
-                 if piv not in nxt_pivots]
-        layer_pivots = [piv for piv in terms[k].pivots if piv not in nxt_pivots]
-        components.append(Subspace.span(n, layer))
-        for row, piv in zip(layer, layer_pivots):
-            reps.append(row)
-            degrees.append(k + 1)
-            labels.append(alg.basis_labels[piv])
+        for row, piv in zip(terms[k].basis, terms[k].pivots):
+            if piv not in nxt_pivots:
+                reps.append(row)
+                degrees.append(k + 1)
+                labels.append(alg.basis_labels[piv])
     matrix = tuple(reps)
-    minv = invert(matrix)
-    if minv is None:  # cannot happen: reps form a basis by construction
-        raise InvalidInputError("natural gradation produced a singular basis")
     table = {}
-    for i in range(n):
-        for j in range(n):
-            prod = bracket(alg, matrix[i], matrix[j])
-            if is_zero_vector(prod):
-                continue
-            coords = [sum(prod[t] * minv[t][s] for t in range(n))
-                      for s in range(n)]
-            target = degrees[i] + degrees[j]
-            projected = tuple(c if degrees[s] == target else ZERO
-                              for s, c in enumerate(coords))
-            if not is_zero_vector(projected):
-                table[(i, j)] = projected
+    for (i, j), coords in change_of_basis(alg, matrix, labels).brackets.items():
+        target = degrees[i] + degrees[j]
+        projected = tuple(c if degrees[s] == target else ZERO
+                          for s, c in enumerate(coords))
+        if not is_zero_vector(projected):
+            table[(i, j)] = projected
     graded = Algebra(n, tuple(labels), table)
-    return NaturalGradation(tuple(components),
-                            tuple(c.dim for c in components),
+    return NaturalGradation(tuple(degrees.count(k + 1)
+                                  for k in range(len(terms) - 1)),
                             tuple(degrees), matrix, graded)
 
 
@@ -401,11 +362,13 @@ def m4_1_witness(n: int, p: int) -> DegreeAssignment:
 
 # -- exhaustive diagonal search ----------------------------------------------
 
-def diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
-    """Enumerate every injective interval degree map in the given basis.
+def diagonal_search(alg: Algebra) -> GradationReport:
+    """Enumerate every injective interval degree map with base -n..1.
 
-    Sound and complete for gradations diagonal in this basis.  Guarded to
-    dim <= 8 (the enumeration is n! per interval).
+    Sound, and complete for gradations diagonal in this basis whose
+    degrees lie in [-n, n]; the report records that window as
+    ``"window": n``.  Guarded to dim <= 8 (the enumeration is n! per
+    interval).
 
     The enumeration is exhaustive and pruned: bases ascend, and for each
     base the permutations are walked in lexicographic order by assigning
@@ -420,15 +383,9 @@ def diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
     if n > 8:
         raise InvalidInputError(
             f"diagonal_search is limited to dim <= 8 (got {n})")
-    if window is None:
-        window = n
-    if window < n - 1:
-        raise InvalidInputError("window too small to contain any interval")
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (i, j), vec in alg.brackets.items():
-        for k, c in enumerate(vec):
-            if c:
-                checks[max(i, j, k)].append((i, j, k))
+    for i, j, k in alg._triples:
+        checks[max(i, j, k)].append((i, j, k))
     leaves_below = [factorial(n - d - 1) for d in range(n)]
     degs = [0] * n
     tried = 0
@@ -448,16 +405,16 @@ def diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
             else:
                 yield from closed_leaves(d + 1, free[:pos] + free[pos + 1:])
 
-    for base in range(-window, window - n + 2):
+    for base in range(-n, 2):
         for _ in closed_leaves(0, list(range(base, base + n))):
             witness = DegreeAssignment(dict(enumerate(degs)))
             report = verify_gradation(alg, witness)
             if report.is_maximum_length:
-                search = {"strategy": "diagonal", "window": window,
+                search = {"strategy": "diagonal", "window": n,
                           "assignments_tried": tried}
                 return GradationReport(MAXIMUM_LENGTH, witness=witness,
                                        checks=report.checks, search=search)
-    search = {"strategy": "diagonal", "window": window,
+    search = {"strategy": "diagonal", "window": n,
               "assignments_tried": tried,
               "closure_failures": closure_failures,
               "note": "exhaustive over injective interval maps in the given basis"}
@@ -490,7 +447,6 @@ class AdaptedBasisSample:
     """
 
     sample_index: int
-    driver: int
     plain: bool
     generators: tuple[Vector, ...]
     basis_matrix: tuple[Vector, ...] | None = None
@@ -598,26 +554,23 @@ def _adapted_labels(alg: Algebra, matrix: tuple[Vector, ...]) -> tuple[str, ...]
     return tuple(labels)
 
 
-def two_generator_search(alg: Algebra, kt_window: int | None = None,
-                         samples: int = 3, seed: int = DEFAULT_SEED,
+def two_generator_search(alg: Algebra, samples: int = 3,
+                         seed: int = DEFAULT_SEED,
                          roles: GeneratorRoles | None = None) -> GradationReport:
     """Adapted-basis maximum-length search following the extension scheme.
 
     The chain driver is normalized to degree k_s = 1 (the k_s = -1 case is
     equivalent under negation of all degrees); every other generator gets
-    an unknown integer degree enumerated over [-kt_window, kt_window].
-    Sample 0 uses the plain generators; ``samples`` further draws use
-    generic rational coefficients to avoid non-generic degeneration.
-    Witnesses are reported in the adapted basis together with the change
-    of basis, lowest unknown tuple first.
+    an unknown integer degree enumerated over [-2n, 2n], which the report
+    records as ``"kt_window": 2n``.  Sample 0 uses the plain generators;
+    ``samples`` further draws use generic rational coefficients to avoid
+    non-generic degeneration.  Witnesses are reported in the adapted basis
+    together with the change of basis, lowest unknown tuple first.
     """
     n = alg.dim
-    if kt_window is None:
-        kt_window = 2 * n
-    if kt_window < 0 or samples < 0:
-        raise InvalidInputError(
-            f"need kt_window >= 0 and samples >= 0, got kt_window={kt_window}, "
-            f"samples={samples}")
+    kt_window = 2 * n
+    if samples < 0:
+        raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     series = lower_central_series(alg)
     l2 = series.derived_subalgebra
     if l2.dim == n:
@@ -637,10 +590,8 @@ def two_generator_search(alg: Algebra, kt_window: int | None = None,
     if space_size > 2_000_000:
         raise InvalidInputError(
             f"degree enumeration would try {space_size} assignments "
-            f"({unknowns} unknowns over window {kt_window}); reduce "
-            "kt_window or pin the generator roles")
-    unknown_names = tuple(
-        "k_t" if unknowns == 1 else f"k_{t + 1}" for t in range(unknowns))
+            f"({unknowns} unknowns over window {kt_window}), over the "
+            "limit of 2000000")
 
     rng = random.Random(seed)
     built: list[AdaptedBasisSample] = []
@@ -648,8 +599,7 @@ def two_generator_search(alg: Algebra, kt_window: int | None = None,
     for sample_index in range(samples + 1):
         for choice in role_choices:
             sample = AdaptedBasisSample(
-                sample_index=sample_index, driver=choice.driver,
-                plain=(sample_index == 0),
+                sample_index=sample_index, plain=(sample_index == 0),
                 generators=_draw_generators(alg, choice, rng,
                                             plain=(sample_index == 0)))
             _close_adapted_basis(alg, sample, unknowns)
@@ -661,34 +611,23 @@ def two_generator_search(alg: Algebra, kt_window: int | None = None,
         raise DegenerateSampleError(
             "every generator sample produced a singular basis change; "
             "re-seed or adjust the generator roles")
+    names = ["k_t"] if unknowns == 1 else [f"k_{t + 1}" for t in range(unknowns)]
+    header = {"strategy": "two_generator_adapted_basis", "kt_window": kt_window,
+              "samples": samples, "seed": seed, "unknowns": names,
+              "degenerate_samples": degenerate}
 
     # Group samples whose symbolic degree forms coincide: the degree-set
     # checks depend only on the forms, closure is per-sample.  Groups keep
     # build order so the plain sample drives the recorded reasons.
-    groups: dict[tuple, tuple[int, list[AdaptedBasisSample]]] = {}
-    for pos, sample in enumerate(built):
-        if sample.forms in groups:
-            groups[sample.forms][1].append(sample)
-        else:
-            groups[sample.forms] = (pos, [sample])
-    group_items = [(forms, members) for forms, (pos, members)
-                   in sorted(groups.items(), key=lambda kv: kv[1][0])]
+    groups: dict[tuple, list[AdaptedBasisSample]] = {}
+    for sample in built:
+        groups.setdefault(sample.forms, []).append(sample)
 
     reasons_by_kt: dict[tuple[int, ...], str] = {}
-    reason_counts = {REASON_COLLISION: 0, REASON_DISCONNECTED: 0,
-                     REASON_CLOSURE: 0}
-    exemplars: dict[str, tuple[int, ...]] = {}
-
-    def record(kts: tuple[int, ...], reason: str) -> None:
-        if kts not in reasons_by_kt:
-            reasons_by_kt[kts] = reason
-            reason_counts[reason] += 1
-            exemplars.setdefault(reason, kts)
-
     domain = range(-kt_window, kt_window + 1)
     for kts in product(domain, repeat=unknowns):
         verdict_reason = None
-        for forms, members in group_items:
+        for forms, members in groups.items():
             degs = [f.value(1, kts) for f in forms]
             reason = _degree_reason(n, degs)
             if reason is not None:
@@ -699,18 +638,20 @@ def two_generator_search(alg: Algebra, kt_window: int | None = None,
                 if _closure_offset(sample.adapted_algebra(alg), degs)[0]:
                     witness = DegreeAssignment(dict(enumerate(degs)))
                     report = verify_gradation(sample.adapted, witness)
-                    search = _search_summary(
-                        kt_window, samples, seed, unknown_names, reasons_by_kt,
-                        reason_counts, exemplars, degenerate, unknowns,
-                        found_at=kts, sample=sample)
+                    search = _search_summary(header, reasons_by_kt)
+                    search.update(
+                        witness_at=list(kts),
+                        sample_index=sample.sample_index,
+                        plain_sample=sample.plain,
+                        adapted_basis_labels=list(sample.labels),
+                        adapted_basis_matrix=_matrix_strings(sample.basis_matrix))
                     return GradationReport(MAXIMUM_LENGTH, witness=witness,
                                            checks=report.checks, search=search)
             if verdict_reason is None:
                 verdict_reason = REASON_CLOSURE
-        record(kts, verdict_reason if verdict_reason else REASON_CLOSURE)
-    search = _search_summary(kt_window, samples, seed, unknown_names,
-                             reasons_by_kt, reason_counts, exemplars,
-                             degenerate, unknowns, found_at=None, sample=None)
+        reasons_by_kt[kts] = verdict_reason
+    search = _search_summary(header, reasons_by_kt)
+    search["note"] = SCHEME_NOTE
     return GradationReport(NO_GRADATION_FOUND, search=search)
 
 
@@ -718,35 +659,23 @@ def _matrix_strings(matrix: tuple[Vector, ...]) -> list[list[str]]:
     return [[str(Fraction(c)) for c in row] for row in matrix]
 
 
-def _search_summary(kt_window, samples, seed, unknown_names, reasons_by_kt,
-                    reason_counts, exemplars, degenerate, unknowns,
-                    found_at, sample) -> dict:
-    out = {
-        "strategy": "two_generator_adapted_basis",
-        "kt_window": kt_window,
-        "samples": samples,
-        "seed": seed,
-        "unknowns": list(unknown_names),
-        "degenerate_samples": degenerate,
-        "reason_counts": dict(sorted(reason_counts.items())),
-        "reason_exemplars": {r: list(k) for r, k in sorted(exemplars.items())},
-    }
-    if unknowns == 1:
-        out["reasons_by_kt"] = {str(k[0]): r
-                                for k, r in sorted(reasons_by_kt.items())}
-    elif len(reasons_by_kt) <= 1000:
-        out["reasons_by_kt"] = {",".join(map(str, k)): r
-                                for k, r in sorted(reasons_by_kt.items())}
-    else:
-        head = sorted(reasons_by_kt.items())[:200]
-        out["reasons_by_kt"] = {",".join(map(str, k)): r for k, r in head}
-        out["reasons_by_kt_truncated"] = len(reasons_by_kt)
-    if found_at is not None:
-        out["witness_at"] = list(found_at)
-        out["sample_index"] = sample.sample_index
-        out["plain_sample"] = sample.plain
-        out["adapted_basis_labels"] = list(sample.labels)
-        out["adapted_basis_matrix"] = _matrix_strings(sample.basis_matrix)
-    else:
-        out["note"] = SCHEME_NOTE
+def _search_summary(header: dict, reasons_by_kt: dict) -> dict:
+    """``header`` plus the failure reasons of the unknown tuples tried.
+
+    ``reasons_by_kt`` is in enumeration order, which is ascending, so each
+    reason's exemplar is the lowest tuple that failed for it.
+    """
+    reason_counts = dict.fromkeys(
+        sorted((REASON_CLOSURE, REASON_COLLISION, REASON_DISCONNECTED)), 0)
+    exemplars: dict[str, list[int]] = {}
+    for kts, reason in reasons_by_kt.items():
+        reason_counts[reason] += 1
+        exemplars.setdefault(reason, list(kts))
+    out = dict(header, reason_counts=reason_counts,
+               reason_exemplars=dict(sorted(exemplars.items())))
+    items = list(reasons_by_kt.items())
+    if len(header["unknowns"]) > 1 and len(items) > 1000:
+        out["reasons_by_kt_truncated"] = len(items)
+        items = items[:200]
+    out["reasons_by_kt"] = {",".join(map(str, k)): r for k, r in items}
     return out

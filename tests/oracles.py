@@ -149,17 +149,16 @@ def dense_closure(alg: Algebra, generators, unknowns: int):
     return tuple(vecs), tuple(forms)
 
 
-def brute_diagonal_search(alg: Algebra, window: int | None = None) -> GradationReport:
-    """``diagonal_search`` without pruning: every base, every permutation in
-    lexicographic order, each checked against every table entry."""
+def brute_diagonal_search(alg: Algebra) -> GradationReport:
+    """``diagonal_search`` without pruning: every base -n..1, every
+    permutation in lexicographic order, each checked against every table
+    entry."""
     n = alg.dim
-    if window is None:
-        window = n
     entries = [(i, j, tuple(k for k, c in enumerate(vec) if c))
                for (i, j), vec in sorted(alg.brackets.items())]
     tried = 0
     closure_failures = 0
-    for base in range(-window, window - n + 2):
+    for base in range(-n, 2):
         for perm in permutations(range(n)):
             degs = [base + t for t in perm]
             tried += 1
@@ -175,11 +174,11 @@ def brute_diagonal_search(alg: Algebra, window: int | None = None) -> GradationR
             witness = DegreeAssignment(dict(enumerate(degs)))
             report = verify_gradation(alg, witness)
             if report.is_maximum_length:
-                search = {"strategy": "diagonal", "window": window,
+                search = {"strategy": "diagonal", "window": n,
                           "assignments_tried": tried}
                 return GradationReport(MAXIMUM_LENGTH, witness=witness,
                                        checks=report.checks, search=search)
-    search = {"strategy": "diagonal", "window": window,
+    search = {"strategy": "diagonal", "window": n,
               "assignments_tried": tried,
               "closure_failures": closure_failures,
               "note": "exhaustive over injective interval maps in the given basis"}

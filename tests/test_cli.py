@@ -78,8 +78,14 @@ def test_invariants_abelian_nilindex(tmp_path, capsys):
 
 def test_invariants_schema_violation_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"dim": 2, "basis": ["a", "b"], "brackets": {"9,0": [[0, "1"]]}}')
-    assert main(["invariants", str(path)]) == 2
+    for data in (b'{"dim": 2, "basis": ["a", "b"], "brackets": {"9,0": [[0, "1"]]}}',
+                 # an integer over the int-conversion digit limit
+                 b'{"dim": %s, "basis": [], "brackets": {}}' % (b"9" * 5000),
+                 b"[" * 100000 + b"]" * 100000,
+                 b"\xff\xfe{"):  # not UTF-8
+        path.write_bytes(data)
+        assert main(["invariants", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_invariants_not_nilpotent_exit_1(tmp_path, capsys):
@@ -126,14 +132,12 @@ def test_grade_search_positive_exit_0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["grade", "search", "{path}", "--kt-window", "-1"],
     ["grade", "search", "{path}", "--samples", "-1"],
     ["invariants", "{path}", "--samples", "-4"],
-    ["reproduce", "--theorem", "thm34", "--kt-window", "-1", "--summary"],
 ])
 def test_negative_search_parameters_exit_2(tmp_path, capsys, argv):
-    # a negative window or sample count used to give a vacuous verdict, a
-    # misleading DegenerateSampleError or a silent zero
+    # a negative sample count used to give a misleading
+    # DegenerateSampleError or a silent zero
     path = write_algebra(tmp_path, FamilySpec("M4", 10, 4, (), 0))
     assert main([a.format(path=path) for a in argv]) == 2
     captured = capsys.readouterr()

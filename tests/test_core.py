@@ -225,6 +225,9 @@ def test_algebra_json_rejects_bad_index():
 
 
 def test_algebra_json_rejects_bad_scalar():
-    bad = '{"dim": 1, "basis": ["a"], "brackets": {"0,0": [[0, "1/0"]]}}'
-    with pytest.raises(InvalidInputError):
-        algebra_from_json(bad)
+    # "1e5000" used to parse, then fail when the report formatted it; so did
+    # a decimal whose denominator 10^4300 has 4301 digits
+    for scalar in ("1/0", "1e5000", "1" * 4301 + "/2", "." + "0" * 4299 + "1"):
+        bad = '{"dim": 1, "basis": ["a"], "brackets": {"0,0": [[0, "%s"]]}}' % scalar
+        with pytest.raises(InvalidInputError):
+            algebra_from_json(bad)

@@ -196,7 +196,7 @@ def test_adapted_closure_matches_all_pairs(alg, seed, plain):
     gens = [i for i in range(n) if i not in set(l2.pivots)]
     roles = GeneratorRoles(driver=gens[0], others=tuple(gens[1:]))
     sample = AdaptedBasisSample(
-        sample_index=0, driver=roles.driver, plain=plain,
+        sample_index=0, plain=plain,
         generators=_draw_generators(alg, roles, random.Random(seed), plain=plain))
     _close_adapted_basis(alg, sample, len(roles.others))
     expected = dense_closure(alg, sample.generators, len(roles.others))
