@@ -343,9 +343,6 @@ def generator_roles(spec: FamilySpec) -> GeneratorRoles:
     m = n - p
     if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
         return GeneratorRoles(driver=0, others=(1,), extra_draw=None)
-    if spec.family in ("M1", "M2"):
-        return GeneratorRoles(driver=0, others=tuple(m + j for j in range(p // 2)),
-                              extra_draw=tuple(range(m)))
     if spec.family == "M3":
         q = p // 2
         return GeneratorRoles(driver=0, others=tuple(m + j for j in range(q + 1)),

@@ -44,7 +44,6 @@ from .gradations import (
     verify_gradation,
 )
 from .invariants import (
-    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     characteristic_sequence,
     is_p_filiform,
@@ -153,7 +152,7 @@ def cmd_invariants(args) -> int:
     report["series_dims"] = list(series.dims)
     report["nilindex"] = len(series.dims) - 1
     report["characteristic_sequence"] = list(
-        characteristic_sequence(alg, samples=args.samples, seed=seed).seq)
+        characteristic_sequence(alg, seed=seed).seq)
     report["natural_gradation_dims"] = list(
         natural_gradation(alg, series).component_dims)
     _emit(report, args.out)
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     inv = sub.add_parser("invariants", help="series, nilindex, characteristic sequence")
     inv.add_argument("file")
-    inv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     inv.add_argument("--seed", type=int, default=None)
     inv.add_argument("-o", "--out")
 

@@ -25,11 +25,9 @@ from .linalg import (
     RowSpace,
     Vector,
     ZERO,
-    eliminate,
     invert,
     is_zero_vector,
     row_times_mat,
-    support,
     unit_vector,
     zero_vector,
 )
@@ -40,15 +38,27 @@ from .linalg import (
 MAX_SCALAR_DIGITS = 4300
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice (``json.loads``
+    would keep the last value and drop the others without a word)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InvalidInputError(f"duplicate key {reprlib.repr(key)}")
+        out[key] = value
+    return out
+
+
 def load_json(text: str):
     """``json.loads`` raising InvalidInputError on any malformed document.
 
     ValueError, the base class of JSONDecodeError, also covers an integer
     literal over the int-conversion digit limit; RecursionError covers
-    nesting deeper than the interpreter's stack.
+    nesting deeper than the interpreter's stack.  A key given twice in one
+    object is refused.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"invalid JSON: {exc}") from exc
 
@@ -93,15 +103,9 @@ class Subspace:
     basis: tuple[Vector, ...]
     pivots: tuple[int, ...]
 
-    def __post_init__(self):
-        # Nonzero columns of each basis row, for sparse membership tests.
-        object.__setattr__(self, "_supports", tuple(support(row) for row in self.basis))
-
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        space = RowSpace(ambient_dim)
-        for v in vectors:
-            space.add(v)
+        space = RowSpace(ambient_dim, vectors)
         return Subspace(ambient_dim, space.rows(), space.pivots)
 
     @property
@@ -109,8 +113,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        residue, _ = eliminate(self.basis, self.pivots, self._supports, vec)
-        return is_zero_vector(residue)
+        return RowSpace(self.ambient_dim, self.basis).contains(vec)
 
     def is_zero(self) -> bool:
         return not self.basis
@@ -407,7 +410,7 @@ def algebra_from_dict(data: dict) -> Algebra:
         if key not in data:
             raise InvalidInputError(f"algebra JSON missing key {key!r}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim <= 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise InvalidInputError("'dim' must be a positive integer")
     basis = data["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
@@ -419,19 +422,21 @@ def algebra_from_dict(data: dict) -> Algebra:
     products = {}
     for key, terms in raw.items():
         try:
-            si, sj = key.split(",")
-            i, j = int(si), int(sj)
+            i, j = map(int, key.split(","))
         except ValueError:
+            i = None
+        # one spelling per pair: int() would also take " 0", "+0" and "1_0"
+        if i is None or key != f"{i},{j}":
             raise InvalidInputError(
-                f"brackets key {key!r} is not of the form 'i,j'") from None
+                f"brackets key {key!r} is not of the form 'i,j'")
         if not (0 <= i < dim and 0 <= j < dim):
             raise InvalidInputError(f"brackets key {key!r}: index out of range")
         if not isinstance(terms, list):
             raise InvalidInputError(f"brackets[{key!r}] must be a list")
         parsed = []
         for t in terms:
-            if (not isinstance(t, list) or len(t) != 2
-                    or not isinstance(t[0], int) or not isinstance(t[1], str)):
+            if (not isinstance(t, list) or len(t) != 2 or not isinstance(t[0], int)
+                    or isinstance(t[0], bool) or not isinstance(t[1], str)):
                 raise InvalidInputError(
                     f"brackets[{key!r}] entries must be [index, \"num/den\"]")
             k, scalar = t

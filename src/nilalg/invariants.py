@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations
+from math import lcm
 
 from .core import Algebra, Subspace, bracket_basis, bracket_vec_basis
 from .errors import InvalidInputError, NotNilpotentError
-from .linalg import RowSpace, Vector, mat_vec, unit_vector
+from .linalg import RowSpace, Vector, identity, mat_vec, unit_vector
 
 DEFAULT_SEED = 20260
 DEFAULT_SAMPLES = 25
@@ -46,9 +47,6 @@ class CharacteristicSequence:
 
     seq: tuple[int, ...]
 
-    def __iter__(self):
-        return iter(self.seq)
-
     def __lt__(self, other: "CharacteristicSequence") -> bool:
         return self.seq < other.seq
 
@@ -60,15 +58,12 @@ def lower_central_series(alg: Algebra) -> CentralSeries:
     before reaching zero.
     """
     n = alg.dim
-    whole = Subspace.span(n, (unit_vector(n, i) for i in range(n)))
+    whole = Subspace(n, identity(n), tuple(range(n)))
     terms = [whole]
     current = whole
     while current.dim > 0:
-        space = RowSpace(n)
-        for vec in current.basis:
-            for j in range(n):
-                space.add(bracket_vec_basis(alg, vec, j))
-        nxt = Subspace(n, space.rows(), space.pivots)
+        nxt = Subspace.span(n, (bracket_vec_basis(alg, vec, j)
+                                for vec in current.basis for j in range(n)))
         if nxt.dim >= current.dim:
             raise NotNilpotentError(
                 f"descending central sequence stalls at dimension {current.dim}")
@@ -170,8 +165,9 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     so each random vector is drawn scaled by 12, which clears every
     denominator of its entries; and the table is scaled by the common
     denominator D of its structure constants, which turns R_x^k into
-    D^k R_x^k and leaves every rank, hence every C(x), unchanged.  Ranks
-    come from a fraction-free echelon, so no ``Fraction`` enters the loop.
+    D^k R_x^k and leaves every rank, hence every C(x), unchanged.  Ranks,
+    and membership in L^2, come from ``RowSpace``, which eliminates
+    fraction-free on integers, so no ``Fraction`` enters the loop.
     ``char_seq_at`` and ``nilpotent_block_profile`` remain the ``Fraction``
     reference for a single vector.
 
@@ -188,35 +184,22 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
-    l2 = lower_central_series(alg).derived_subalgebra
+    l2 = RowSpace(n, lower_central_series(alg).derived_subalgebra.basis)
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
-    # L^2's basis rows scaled to integers; RREF rows are zero at each
-    # other's pivots, so they serve as a fraction-free echelon.
-    l2_rows = []
-    for p, row in zip(l2.pivots, l2.basis):
-        den = lcm(*(c.denominator for c in row))
-        l2_rows.append((p, [c.numerator * (den // c.denominator) for c in row]))
-
-    def outside_l2(vec) -> bool:
-        return any(_int_residue(l2_rows, vec))
 
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    candidates = []
-    outside = [i for i in range(n) if outside_l2(units[i])]
-    for i in outside:
-        candidates.append(units[i])
-    for a in range(len(outside)):
-        for b in range(a + 1, len(outside)):
-            i, j = outside[a], outside[b]
-            vec = tuple(x + y for x, y in zip(units[i], units[j]))
-            if outside_l2(vec):
-                candidates.append(vec)
+    outside = [i for i in range(n) if not l2.contains(units[i])]
+    candidates = [units[i] for i in outside]
+    for i, j in combinations(outside, 2):
+        vec = tuple(x + y for x, y in zip(units[i], units[j]))
+        if not l2.contains(vec):
+            candidates.append(vec)
     rng = random.Random(seed)
     drawn = 0
     while drawn < samples:
         vec = _random_integer_vector(rng, n)
-        if not outside_l2(vec):
+        if l2.contains(vec):
             continue
         candidates.append(vec)
         drawn += 1
@@ -237,29 +220,6 @@ def _integer_index(alg: Algebra) -> dict[int, list]:
     return {i: [(j, tuple((k, c.numerator * (den // c.denominator)) for k, c in terms))
                 for j, terms in row]
             for i, row in alg._by_left.items()}
-
-
-def _int_residue(rows, vec) -> list[int]:
-    """Residue of integer ``vec`` against the independent integer rows
-    [(pivot, row)], divided by its content.
-
-    Each row is nonzero at its pivot and zero at the pivots of the rows
-    before it, so eliminating in list order clears every pivot: the residue
-    is zero iff ``vec`` lies in the span of the rows.
-    """
-    v = list(vec)
-    for p, row in rows:
-        c = v[p]
-        if c:
-            a = row[p]
-            g = gcd(a, c)
-            a //= g
-            c //= g
-            v = [a * s - c * t for s, t in zip(v, row)]
-    g = gcd(*v)
-    if g > 1:
-        v = [s // g for s in v]
-    return v
 
 
 def _right_image(columns, v) -> list[int]:
@@ -293,31 +253,27 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
         columns.append(col)
     sparse = None  # the same columns as [(k, c), ...], built at step two
     ranks = [n]
-    rows = None
+    vectors = None
     while True:
         bound = _profile_from_ranks(ranks + list(range(ranks[-1] - 1, -1, -1)))
         if best is not None and bound <= best.seq:
             return None
         if ranks[-1] == 0:
             return CharacteristicSequence(bound)
-        if rows is None:
+        if vectors is None:
             vectors = columns
         else:
             if sparse is None:
                 sparse = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
-            vectors = [_right_image(sparse, row) for _, row in rows]
-        rows = []
-        for vec in vectors:
-            if any(vec):
-                residue = _int_residue(rows, vec)
-                for pivot, c in enumerate(residue):
-                    if c:
-                        rows.append((pivot, residue))
-                        break
-        if len(rows) >= ranks[-1]:
+            vectors = [_right_image(sparse, v) for v in vectors]
+        # The vectors that enlarge the image form a basis of it, and R_x
+        # maps any basis of image_k onto a spanning set of image_{k+1}.
+        space = RowSpace(n)
+        vectors = [v for v in vectors if space.add(v)]
+        if space.dim >= ranks[-1]:
             raise NotNilpotentError(
                 "R_x is not nilpotent: matrix is not nilpotent (rank descent stalls)")
-        ranks.append(len(rows))
+        ranks.append(space.dim)
 
 
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,

@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on tuples of ``fractions.Fraction`` so that ranks,
-kernels and echelon forms are computed without rounding.  The central tool
-is :class:`RowSpace`, an incremental reduced-row-echelon accumulator: rows
-are inserted one at a time and the stored basis stays in canonical RREF,
-so two equal row spaces always have identical representations.
+Vectors and matrices are tuples of ``fractions.Fraction`` (or ints), so
+ranks, inverses and echelon forms are computed without rounding.
+:class:`RowSpace` is the one Gaussian elimination: rows are inserted one
+at a time and eliminated fraction-free on Python integers, and the
+canonical reduced row echelon basis is built from them on demand, so two
+equal row spaces always have identical representations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -17,6 +20,11 @@ Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Every insert converts its row to integers; mapped C-level getters keep
+# that cheap for int and Fraction entries alike.
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def zero_vector(n: int) -> Vector:
@@ -31,43 +39,35 @@ def is_zero_vector(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def support(u: Sequence[Fraction]) -> list[int]:
-    """Ascending indices of the nonzero entries of ``u``."""
-    return [j for j, c in enumerate(u) if c]
-
-
-def eliminate(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-              supports: Sequence[Sequence[int]], vec: Sequence[Fraction]
-              ) -> tuple[list[Fraction], list[Fraction]]:
-    """(residue, coefficients) of ``vec`` against reduced echelon ``rows``.
-
-    ``supports[r]`` lists the nonzero columns of ``rows[r]``; only those
-    entries are touched.  The residue is zero iff ``vec`` lies in the span,
-    and then ``vec`` is the combination of the rows with the coefficients.
-    """
-    v = list(vec)
-    coeffs = []
-    for row, p, cols in zip(rows, pivots, supports):
+def _cleared(v: list[int], pivots: Iterable[int],
+             rows: Iterable[list[int]]) -> list[int]:
+    """Integer ``v`` cleared at each pivot p in turn: v <- a*v - c*row with
+    a = row[p], c = v[p] divided by their gcd."""
+    for p, row in zip(pivots, rows):
         c = v[p]
-        coeffs.append(c)
         if c:
-            for j in cols:
-                v[j] -= c * row[j]
-    return v, coeffs
+            a = row[p]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            v = [a * s - c * t for s, t in zip(v, row)]
+    return v
 
 
 class RowSpace:
-    """Incremental reduced-row-echelon span of a set of rational rows.
+    """Incremental span of rational rows, eliminated fraction-free.
 
-    Each stored row keeps the ascending list of its nonzero columns, so
-    elimination touches only nonzero entries.
+    Rows are stored as integer rows in insertion order, each divided by its
+    content and zero at the pivots (first nonzero columns) of the rows
+    before it, so eliminating in list order clears every pivot: the residue
+    is zero iff a vector lies in the span.  ``rows()`` builds the canonical
+    reduced row echelon basis from them on demand.
     """
 
     def __init__(self, ncols: int, rows: Iterable[Sequence[Fraction]] = ()):
         self.ncols = ncols
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
-        self._supports: list[list[int]] = []
         for row in rows:
             self.add(row)
 
@@ -77,50 +77,58 @@ class RowSpace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
+        return tuple(sorted(self._pivots))
+
+    def _residue(self, vec: Sequence[Fraction]) -> list[int]:
+        """``vec`` scaled by the lcm of its denominators, then cleared at
+        every stored pivot."""
+        den = lcm(*set(map(_denominator, vec)))
+        if den == 1:
+            v = list(map(_numerator, vec))
+        else:
+            v = [c.numerator * (den // c.denominator) for c in vec]
+        return _cleared(v, self._pivots, self._rows)
 
     def rows(self) -> Matrix:
-        return tuple(tuple(r) for r in self._rows)
+        """The reduced row echelon basis, in pivot order.
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Residue of ``vec`` after elimination against the stored basis."""
-        return eliminate(self._rows, self._pivots, self._supports, vec)[0]
+        The last row inserted is zero at every other pivot; each earlier row
+        is cleared at the later pivots by the rows already reduced, then
+        divided by its pivot entry.
+        """
+        pivots: list[int] = []
+        done: list[list[int]] = []
+        for p, row in zip(reversed(self._pivots), reversed(self._rows)):
+            done.append(_cleared(row, pivots, done))
+            pivots.append(p)
+        return tuple(tuple(Fraction(c, row[p]) if c else ZERO for c in row)
+                     for p, row in sorted(zip(pivots, done)))
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return is_zero_vector(self.reduce(vec))
+        return not any(self._residue(vec))
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         """Insert ``vec``; returns True iff it enlarged the span."""
-        residue = self.reduce(vec)
-        cols = support(residue)
-        if not cols:
+        if not any(vec):
             return False
-        pivot = cols[0]
-        inv = ONE / residue[pivot]
-        v = [ZERO] * self.ncols
-        for j in cols:
-            v[j] = residue[j] * inv
-        # Back-substitute into earlier rows to keep the basis fully reduced.
-        for r, row in enumerate(self._rows):
-            c = row[pivot]
+        v = self._residue(vec)
+        for pivot, c in enumerate(v):
             if c:
-                for j in cols:
-                    row[j] -= c * v[j]
-                merged = sorted(set(self._supports[r]).union(cols))
-                self._supports[r] = [j for j in merged if row[j]]
-        at = next((k for k, p in enumerate(self._pivots) if p > pivot),
-                  len(self._pivots))
-        self._rows.insert(at, v)
-        self._pivots.insert(at, pivot)
-        self._supports.insert(at, cols)
-        return True
+                g = gcd(*v)
+                self._rows.append([s // g for s in v] if g > 1 else v)
+                self._pivots.append(pivot)
+                return True
+        return False
 
     def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction] | None:
-        """Coefficients of ``vec`` in the stored basis, or None if outside."""
-        residue, coeffs = eliminate(self._rows, self._pivots, self._supports, vec)
-        if not is_zero_vector(residue):
+        """Coefficients of ``vec`` in the ``rows()`` basis, or None if outside.
+
+        That basis is the identity on the pivot columns, so the coefficients
+        are the entries of ``vec`` there.
+        """
+        if not self.contains(vec):
             return None
-        return coeffs
+        return [vec[p] for p in self.pivots]
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
@@ -154,20 +162,10 @@ def identity(n: int) -> Matrix:
 
 
 def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
-    """Exact inverse via Gauss-Jordan on [m | I]; None if singular."""
+    """Exact inverse: the right half of the reduced echelon form of
+    [m | I], or None if m is singular (a pivot falls in the right half)."""
     n = len(m)
-    aug = [list(m[i]) + list(unit_vector(n, i)) for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = ONE / aug[row][col]
-        aug[row] = [c * inv for c in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [a - c * b for a, b in zip(aug[r], aug[row])]
-        row += 1
-    return tuple(tuple(r[n:]) for r in aug)
+    space = RowSpace(2 * n, (tuple(m[i]) + unit_vector(n, i) for i in range(n)))
+    if space.pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in space.rows())

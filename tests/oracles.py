@@ -7,14 +7,14 @@ construction, and series dimensions for the Lie families come from the
 suffix sums of their known natural-gradation components.
 
 The dense reference kernels (bracket, the n^3 Leibniz sweep, Gauss-Jordan
-RREF, the all-pairs adapted-basis closure) walk every table entry and
-every matrix entry, zero or not.  They read only ``Algebra.brackets`` and
-plain tuples, never the sparse index or ``RowSpace``, so the library's
-sparse kernels are checked against them for exact equality.  The
-brute-force diagonal search visits every permutation, so the pruned
-enumeration is checked against it, counters included; the exhaustive
-characteristic-sequence sweep computes C(x) in full on every candidate, so
-the rank-pruned sweep is checked against it.
+RREF and inverse, the all-pairs adapted-basis closure) walk every table
+entry and every matrix entry, zero or not.  They read only
+``Algebra.brackets`` and plain tuples, never the sparse index or
+``RowSpace``, so the library's sparse kernels are checked against them for
+exact equality.  The brute-force diagonal search visits every permutation,
+so the pruned enumeration is checked against it, counters included; the
+exhaustive characteristic-sequence sweep computes C(x) in full on every
+candidate, so the rank-pruned sweep is checked against it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from nilalg.gradations import (
     verify_gradation,
 )
 from nilalg.invariants import DEFAULT_SAMPLES, DEFAULT_SEED, CharacteristicSequence
-from nilalg.linalg import invert, unit_vector
+from nilalg.linalg import unit_vector
 
 ZERO = Fraction(0)
 
@@ -110,6 +110,25 @@ def dense_rref(rows, ncols: int) -> tuple[tuple, tuple]:
         pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def dense_invert(m):
+    """Inverse by Gauss-Jordan elimination on [m | I]; None if singular."""
+    n = len(m)
+    aug = [[Fraction(c) for c in m[i]] + [Fraction(int(j == i)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [c * inv for c in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(r[n:]) for r in aug)
 
 
 def rank(rows, ncols: int) -> int:
@@ -256,7 +275,7 @@ def random_invertible(rng: random.Random, n: int):
     while True:
         m = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
                   for _ in range(n))
-        if invert(m) is not None:
+        if dense_invert(m) is not None:
             return m
 
 
@@ -264,7 +283,7 @@ def conjugated_nilpotent(rng: random.Random, partition):
     """P J P^-1 for a random invertible P; profile known to be `partition`."""
     j = jordan_nilpotent(partition)
     p = random_invertible(rng, sum(partition))
-    return mat_mul(mat_mul(p, j), invert(p))
+    return mat_mul(mat_mul(p, j), dense_invert(p))
 
 
 def random_nilpotent_algebra(rng: random.Random, dim: int) -> Algebra:

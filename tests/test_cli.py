@@ -82,7 +82,16 @@ def test_invariants_schema_violation_exit_2(tmp_path, capsys):
                  # an integer over the int-conversion digit limit
                  b'{"dim": %s, "basis": [], "brackets": {}}' % (b"9" * 5000),
                  b"[" * 100000 + b"]" * 100000,
-                 b"\xff\xfe{"):  # not UTF-8
+                 b"\xff\xfe{",  # not UTF-8
+                 # one fact, several spellings: a bool dim or target index,
+                 # a key other than "i,j", a key given twice
+                 b'{"dim": true, "basis": ["a"], "brackets": {}}',
+                 b'{"dim": 2, "basis": ["a", "b"], "brackets": {"0,0": [[true, "1"]]}}',
+                 b'{"dim": 2, "basis": ["a", "b"], "brackets": {"0, 0": [[1, "1"]]}}',
+                 b'{"dim": 11, "basis": ["a", "b", "c", "d", "e", "f", "g", "h", '
+                 b'"i", "j", "k"], "brackets": {"1_0,0": [[1, "1"]]}}',
+                 b'{"dim": 2, "basis": ["a", "b"], '
+                 b'"brackets": {"0,0": [[1, "1"]], "0,0": [[1, "2"]]}}'):
         path.write_bytes(data)
         assert main(["invariants", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -112,6 +121,13 @@ def test_grade_verify_exit_codes(tmp_path, capsys):
                  "--assignment", str(tmp_path / "bad.json")]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["gradation"]["verdict"] == "not_maximum_length"
+    # a label given twice is refused, not resolved to its last degree
+    degrees = json.loads((tmp_path / "w.json").read_text())["degrees"]
+    twice = ", ".join(f'"{k}": {d}' for k, d in degrees.items())
+    (tmp_path / "twice.json").write_text('{"degrees": {"x1": 0, %s}}' % twice)
+    assert main(["grade", "verify", str(path),
+                 "--assignment", str(tmp_path / "twice.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_grade_search_negative_exit_1(tmp_path, capsys):
@@ -133,7 +149,6 @@ def test_grade_search_positive_exit_0(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["grade", "search", "{path}", "--samples", "-1"],
-    ["invariants", "{path}", "--samples", "-4"],
 ])
 def test_negative_search_parameters_exit_2(tmp_path, capsys, argv):
     # a negative sample count used to give a misleading

@@ -201,6 +201,12 @@ def test_characteristic_sequence_rejects_perfect():
         characteristic_sequence(alg)
 
 
+def test_characteristic_sequence_rejects_negative_samples(m1_8_4):
+    # a negative count would otherwise draw no random vectors without a word
+    with pytest.raises(InvalidInputError, match=">= 0"):
+        characteristic_sequence(m1_8_4, samples=-4)
+
+
 def test_characteristic_sequence_sums_to_n(grid_algebras):
     for spec, alg in grid_algebras.items():
         assert sum(characteristic_sequence(alg).seq) == alg.dim, spec.name()

@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nilalg.linalg import RowSpace, identity, invert, unit_vector
 
-from oracles import mat_mul, rank
+from oracles import dense_invert, mat_mul, rank
 
 F = Fraction
 
@@ -50,6 +50,33 @@ def test_rank_and_invert_roundtrip():
     singular = ((F(1), F(2)), (F(2), F(4)))
     assert rank(singular, 2) == 1
     assert invert(singular) is None
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, 1 <= n <= 7, with int and Fraction entries; about
+    half are made singular by replacing a row with a combination of the
+    others (a zero row when n = 1)."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                               min_size=n, max_size=n))
+        m[k] = [sum((coeffs[r] * m[r][j] for r in range(n) if r != k), F(0))
+                for j in range(n)]
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_invert_matches_gauss_jordan(m):
+    minv = invert(m)
+    assert minv == dense_invert(m)
+    if minv is not None:
+        assert mat_mul(m, minv) == identity(len(m))
 
 
 def test_unit_vector():

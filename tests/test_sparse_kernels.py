@@ -150,9 +150,18 @@ def test_right_mult_matrix_matches_dense(alg, data):
     assert right_mult_matrix(alg, x) == dense_right_mult(alg, x)
 
 
+def mixed_vectors(n):
+    """Fraction, int or mixed int/Fraction entries: the sweep feeds ints."""
+    ints = st.integers(min_value=-3, max_value=3)
+    mixed = st.one_of(ints, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return st.one_of(vectors(n), *(st.lists(entry, min_size=n, max_size=n).map(tuple)
+                                   for entry in (ints, mixed)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(vectors(n), max_size=7), vectors(n))))
+    lambda n: st.tuples(st.just(n), st.lists(mixed_vectors(n), max_size=7),
+                        mixed_vectors(n))))
 def test_rowspace_matches_dense_rref(case):
     n, rows, probe = case
     space = RowSpace(n, rows)
