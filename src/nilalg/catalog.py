@@ -35,6 +35,11 @@ _HYPOTHESES = {
 }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameter record selecting one catalog constructor."""
@@ -67,17 +72,17 @@ class FamilySpec:
         if not isinstance(data, dict) or "family" not in data:
             raise InvalidInputError("family spec JSON must be an object with 'family'")
         for key in ("n", "p"):
-            if not isinstance(data.get(key), int):
+            if not _is_int(data.get(key)):
                 raise InvalidInputError(f"family spec {key!r} must be an integer")
         r = data.get("r")
         if r is None:
             r = ()
-        elif isinstance(r, list) and all(isinstance(v, int) for v in r):
+        elif isinstance(r, list) and all(map(_is_int, r)):
             r = tuple(r)
         else:
             raise InvalidInputError("family spec 'r' must be a list of integers")
         alpha = data.get("alpha")
-        if alpha is not None and alpha not in (0, 1):
+        if alpha is not None and not (_is_int(alpha) and alpha in (0, 1)):
             raise InvalidInputError("family spec 'alpha' must be 0, 1 or null")
         return FamilySpec(data["family"], data["n"], data["p"], r, alpha)
 

@@ -212,7 +212,9 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
             record["leibniz_violation"] = {
                 "triple": [alg.basis_labels[t] for t in v.triple],
                 "defect": alg.format_vector(v.defect)}
-        record["p_filiform"] = is_p_filiform(alg, spec.p, seed=seed)
+        series = lower_central_series(alg)
+        record["p_filiform"] = is_p_filiform(alg, spec.p, seed=seed,
+                                             series=series)
         witness = known_witness(spec)
         if witness is not None:
             result = verify_gradation(alg, witness)
@@ -220,7 +222,8 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
             record["witness"] = witness.to_dict(alg)
         else:
             result = two_generator_search(alg, seed=seed,
-                                          roles=generator_roles(spec))
+                                          roles=generator_roles(spec),
+                                          series=series)
             record["witness_source"] = "search"
         record["gradation"] = result.to_dict(alg if witness is not None else None)
         record["verdict"] = result.verdict

@@ -18,6 +18,8 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -129,6 +131,8 @@ class Algebra:
     [(i, ((k, c), ...))], listing only the nonzero coefficients c of e_k.
     ``_triples`` lists every (i, j, k) with a nonzero coefficient of e_k in
     [e_i, e_j], for degree checks that need only the support.
+    ``integer_index`` is the same index on Python integers, built on first
+    use.
     """
 
     dim: int
@@ -160,6 +164,22 @@ class Algebra:
         object.__setattr__(self, "_by_left", by_left)
         object.__setattr__(self, "_by_right", by_right)
         object.__setattr__(self, "_triples", tuple(triples))
+
+    @cached_property
+    def integer_index(self) -> tuple[int, dict[int, list]]:
+        """(D, index): ``_by_left`` with each structure constant c replaced
+        by the integer D*c, D the least common denominator of all of them.
+
+        On integer vectors the routines below then compute D times the
+        bracket, which has the same span and the same support.
+        """
+        den = lcm(1, *(c.denominator for row in self._by_left.values()
+                       for _, terms in row for _, c in terms))
+        index = {i: [(j, tuple((k, c.numerator * (den // c.denominator))
+                               for k, c in terms))
+                     for j, terms in row]
+                 for i, row in self._by_left.items()}
+        return den, index
 
     # -- construction helpers -------------------------------------------
 
@@ -234,6 +254,40 @@ def bracket_vec_basis(alg: Algebra, vec: Sequence[Fraction], j: int) -> Vector:
             for k, a in terms:
                 out[k] += c * a
     return tuple(out)
+
+
+def right_columns(index: Mapping[int, list], n: int, x: Sequence[int]
+                  ) -> list[list[int]]:
+    """The columns [e_j, x], j < n, of R_x on an ``integer_index`` table,
+    as dense integer lists."""
+    columns = []
+    for j in range(n):
+        col = [0] * n
+        for t, terms in index.get(j, ()):
+            c = x[t]
+            if c:
+                for k, a in terms:
+                    col[k] += c * a
+        columns.append(col)
+    return columns
+
+
+def sparse_rows(rows: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Each row as its nonzero entries [(k, c), ...], the form ``right_image``
+    reads."""
+    return [[(k, c) for k, c in enumerate(row) if c] for row in rows]
+
+
+def right_image(columns: Sequence[Iterable[tuple[int, int]]],
+                v: Sequence[int]) -> list[int]:
+    """sum_j v_j columns[j] from sparse columns [(k, c), ...]: [v, x] when
+    column j holds [e_j, x]."""
+    out = [0] * len(v)
+    for j, c in enumerate(v):
+        if c:
+            for k, a in columns[j]:
+                out[k] += c * a
+    return out
 
 
 @dataclass(frozen=True)

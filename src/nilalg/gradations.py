@@ -18,7 +18,15 @@ generators with unknown degrees), close them under bracketing while
 propagating symbolic degrees, and test every integer value of the unknown
 degrees in [-2n, 2n] (``"kt_window": 2n``).  A negative answer means no
 gradation was found under that scheme; it is not a formal non-existence
-certificate.
+certificate (``SCHEME_NOTE``).
+
+The adapted-basis search runs on Python ints: generators are drawn as
+integers, closed on the table scaled by its common denominator, and each
+sample's closure support is read from the integer rows.  Scaling vectors
+by nonzero rationals changes no span and no support, so every verdict and
+reason is that of a ``Fraction`` search.  The ``Fraction`` algebra in the
+adapted basis is built only for the sample that closes, and its witness is
+reported only once ``verify_gradation`` confirms it there.
 
 Search candidates are examined in a fixed order (lowest unknown tuple
 first, samples in build order) and the first witness wins, so results are
@@ -31,14 +39,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, gcd
 
 from .core import (
     Algebra,
-    bracket,
     change_of_basis,
     is_lie,
     load_json,
+    right_columns,
+    right_image,
+    sparse_rows,
     square_ideal,
 )
 from .errors import DegenerateSampleError, InvalidInputError
@@ -48,7 +58,7 @@ from .invariants import (
     characteristic_sequence,
     lower_central_series,
 )
-from .linalg import RowSpace, Vector, ZERO, is_zero_vector, unit_vector
+from .linalg import RowSpace, Vector, ZERO, integer_inverse, is_zero_vector
 
 MAXIMUM_LENGTH = "maximum_length"
 NOT_MAXIMUM_LENGTH = "not_maximum_length"
@@ -186,15 +196,16 @@ class GradationReport:
         return out
 
 
-def _closure_offset(alg: Algebra, degs: list[int]) -> tuple[bool, int | None]:
+def _closure_offset(triples, degs: list[int]) -> tuple[bool, int | None]:
     """Uniform-offset closure: all products satisfy deg(k) = d_i + d_j - c.
 
-    Returns (True, c) when a single offset c works for every nonzero
-    product component, (True, None) when there are no products at all,
-    and (False, None) otherwise.
+    ``triples`` lists the (i, j, k) with a nonzero coefficient of e_k in
+    [e_i, e_j].  Returns (True, c) when a single offset c works for every
+    one of them, (True, None) when there are none, and (False, None)
+    otherwise.
     """
     offset = None
-    for i, j, k in alg._triples:
+    for i, j, k in triples:
         this = degs[i] + degs[j] - degs[k]
         if offset is None:
             offset = this
@@ -226,7 +237,7 @@ def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
     dim_one = distinct  # one basis vector per attained degree
     connected = (hi - lo + 1) == len(seen)
     nonempty = connected  # no empty component inside the covering interval
-    closure, offset = _closure_offset(alg, degs)
+    closure, offset = _closure_offset(alg._triples, degs)
     checks = GradationChecks(closure, nonempty, dim_one, distinct, connected,
                              (lo, hi), offset)
     # distinct and connected already give an interval of size n
@@ -438,45 +449,81 @@ class GeneratorRoles:
     extra_draw: tuple[int, ...] | None = None
 
 
+# Generic draws have entries a/b with b in {1, 2, 3}; drawn times
+# lcm(1, 2, 3) = 6 they are integers.
+DRAW_SCALE = 6
+
+
 @dataclass
 class AdaptedBasisSample:
     """One generic draw of homogeneous generators plus its bracket closure.
 
-    ``adapted``, the algebra rewritten in the adapted basis, is built on
-    first use by ``adapted_algebra`` and cached; a sample whose degree
-    patterns never need a closure check never pays for the change of basis.
+    Everything up to a witness runs on Python ints.  ``generators`` and
+    ``rows`` are integer vectors, and ``scales[s] = (a, b)`` makes
+    a/b * rows[s] the rational adapted basis vector that ``basis_matrix``
+    returns, the vector a ``Fraction`` closure would have built.  The
+    closure support (``closure_support``) is computed from the integer
+    rows on first use; the algebra in the adapted basis is built only to
+    certify a witness.
     """
 
     sample_index: int
     plain: bool
-    generators: tuple[Vector, ...]
-    basis_matrix: tuple[Vector, ...] | None = None
+    generators: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...] | None = None
+    scales: tuple[tuple[int, int], ...] | None = None
     forms: tuple[SymbolicDegree, ...] | None = None
     labels: tuple[str, ...] | None = None
-    adapted: Algebra | None = None
+    support: tuple[tuple[int, int, int], ...] | None = None
 
     @property
     def degenerate(self) -> bool:
-        return self.basis_matrix is None
+        return self.rows is None
 
-    def adapted_algebra(self, alg: Algebra) -> Algebra:
-        """``alg`` in this sample's adapted basis, built on first use."""
-        if self.adapted is None:
-            self.adapted = change_of_basis(alg, self.basis_matrix, self.labels)
-        return self.adapted
+    @property
+    def basis_matrix(self) -> tuple[Vector, ...] | None:
+        """The adapted basis as rational rows, or None for a degenerate draw."""
+        if self.rows is None:
+            return None
+        return tuple(tuple(Fraction(a * c, b) for c in row)
+                     for (a, b), row in zip(self.scales, self.rows))
 
+    def closure_support(self, alg: Algebra) -> tuple[tuple[int, int, int], ...]:
+        """Every (i, j, k) with a nonzero coefficient of b_k in [b_i, b_j],
+        in (i, j, k) order: the ``_triples`` of the algebra in the basis
+        ``basis_matrix``.
 
-def _random_coeff(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        Scaling the rows by nonzero rationals and the table by its common
+        denominator changes no support, so it is read from the integer
+        brackets [rows_i, rows_j] times an integer multiple of the inverse
+        of the rows.  Computed on first use and cached.
+        """
+        if self.support is None:
+            n = alg.dim
+            _, index = alg.integer_index
+            inverse = sparse_rows(integer_inverse(self.rows))
+            columns = [sparse_rows(right_columns(index, n, x)) for x in self.rows]
+            triples = []
+            for i, u in enumerate(self.rows):
+                for j in range(n):
+                    coords = right_image(inverse, right_image(columns[j], u))
+                    triples.extend((i, j, k) for k, c in enumerate(coords) if c)
+            self.support = tuple(triples)
+        return self.support
 
 
 def _draw_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
-                     plain: bool) -> tuple[Vector, ...]:
+                     plain: bool) -> tuple[tuple[int, ...], ...]:
+    """Integer generators: unit vectors when ``plain``, else DRAW_SCALE times
+    generic rational vectors, entries a/b with -3 <= a <= 3 and 1 <= b <= 3
+    drawn a then b, each entry computed as a * (DRAW_SCALE // b)."""
     n = alg.dim
+    lead_entry = 1 if plain else DRAW_SCALE
     gens = []
     all_indices = set(range(n))
     for pos, lead in enumerate((roles.driver,) + roles.others):
-        vec = list(unit_vector(n, lead))
+        vec = [0] * n
+        vec[lead] = lead_entry
         if not plain:
             if pos == 0 or roles.extra_draw is None:
                 support = all_indices - {lead}
@@ -484,41 +531,54 @@ def _draw_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
                 support = (set(roles.extra_draw) | {roles.driver}
                            | set(roles.others)) - {lead}
             for k in sorted(support):
-                vec[k] = _random_coeff(rng)
+                vec[k] = rng.randint(-3, 3) * (DRAW_SCALE // rng.randint(1, 3))
         gens.append(tuple(vec))
     return tuple(gens)
 
 
 def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
                          unknowns: int) -> None:
-    """Bracket-close the generators, tracking symbolic degrees.
+    """Bracket-close the generators on ints, tracking symbolic degrees.
 
-    Fills basis_matrix, forms and labels in place; leaves basis_matrix =
-    None when the closure does not span (degenerate draw).  The adapted
-    algebra is not built here but on first use (``adapted_algebra``).
+    Fills rows, scales, forms and labels in place; leaves rows = None when
+    the closure does not span (degenerate draw).  Brackets are taken on the
+    algebra's ``integer_index``, which gives D times the bracket, and each
+    new row is divided by its content g; its scale is that of its factors
+    times g / D.  The same vectors up to scale therefore enter in the order
+    a ``Fraction`` closure would add them.
     """
     n = alg.dim
-    vecs = list(sample.generators)
+    den, index = alg.integer_index
+    rows = list(sample.generators)
+    scales = [(1, 1 if sample.plain else DRAW_SCALE)] * len(rows)
     forms = [SymbolicDegree(1, (0,) * unknowns)]
     for t in range(unknowns):
         forms.append(SymbolicDegree(0, tuple(1 if s == t else 0
                                              for s in range(unknowns))))
     space = RowSpace(n)
-    for v in vecs:
+    for v in rows:
         if not space.add(v):
             return  # generators already dependent
-    # vecs[:done] were bracketed pairwise by an earlier full pass; those
+    columns: dict[int, list] = {}  # j -> sparse [e_t, rows[j]], on first use
+    # rows[:done] were bracketed pairwise by an earlier full pass; those
     # brackets already lie in the span, so each pass skips old x old pairs.
     done = 0
     while space.dim < n:
         added = False
-        size = len(vecs)
+        size = len(rows)
         for i in range(size):
+            u = rows[i]
             for j in range(done if i < done else 0, size):
-                w = bracket(alg, vecs[i], vecs[j])
-                if is_zero_vector(w) or not space.add(w):
+                cols = columns.get(j)
+                if cols is None:
+                    cols = columns[j] = sparse_rows(right_columns(index, n, rows[j]))
+                w = right_image(cols, u)
+                if not space.add(w):
                     continue
-                vecs.append(w)
+                g = gcd(*w)
+                rows.append(tuple(c // g for c in w))
+                (ai, bi), (aj, bj) = scales[i], scales[j]
+                scales.append((ai * aj * g, bi * bj * den))
                 forms.append(forms[i].plus(forms[j]))
                 added = True
                 if space.dim == n:
@@ -528,14 +588,13 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
         if not added:
             return  # closure stalls below full rank
         done = size
-    matrix = tuple(vecs)
-    labels = _adapted_labels(alg, matrix)
-    sample.basis_matrix = matrix
+    sample.rows = tuple(rows)
+    sample.scales = tuple(scales)
     sample.forms = tuple(forms)
-    sample.labels = labels
+    sample.labels = _adapted_labels(alg, sample.rows)
 
 
-def _adapted_labels(alg: Algebra, matrix: tuple[Vector, ...]) -> tuple[str, ...]:
+def _adapted_labels(alg: Algebra, matrix) -> tuple[str, ...]:
     """Reuse an original label when an adapted vector is proportional to it."""
     labels = []
     used = set()
@@ -557,7 +616,8 @@ def _adapted_labels(alg: Algebra, matrix: tuple[Vector, ...]) -> tuple[str, ...]
 
 def two_generator_search(alg: Algebra, samples: int = 3,
                          seed: int = DEFAULT_SEED,
-                         roles: GeneratorRoles | None = None) -> GradationReport:
+                         roles: GeneratorRoles | None = None,
+                         series: CentralSeries | None = None) -> GradationReport:
     """Adapted-basis maximum-length search following the extension scheme.
 
     The chain driver is normalized to degree k_s = 1 (the k_s = -1 case is
@@ -567,12 +627,20 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     ``samples`` further draws use generic rational coefficients to avoid
     non-generic degeneration.  Witnesses are reported in the adapted basis
     together with the change of basis, lowest unknown tuple first.
+
+    The draws, the closures and every closure check run on Python ints
+    (see ``AdaptedBasisSample``).  Only the sample that closes gets its
+    rational adapted algebra, and the witness is reported only if
+    ``verify_gradation`` confirms it there; ``checks`` come from that
+    verification.  ``series``, when given, must be
+    ``lower_central_series(alg)``; it is computed otherwise.
     """
     n = alg.dim
     kt_window = 2 * n
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
-    series = lower_central_series(alg)
+    if series is None:
+        series = lower_central_series(alg)
     l2 = series.derived_subalgebra
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
@@ -636,9 +704,15 @@ def two_generator_search(alg: Algebra, samples: int = 3,
                     verdict_reason = reason
                 continue
             for sample in members:
-                if _closure_offset(sample.adapted_algebra(alg), degs)[0]:
+                if _closure_offset(sample.closure_support(alg), degs)[0]:
                     witness = DegreeAssignment(dict(enumerate(degs)))
-                    report = verify_gradation(sample.adapted, witness)
+                    adapted = change_of_basis(alg, sample.basis_matrix, sample.labels)
+                    report = verify_gradation(adapted, witness)
+                    if not report.is_maximum_length:
+                        raise RuntimeError(
+                            f"integer closure support of sample "
+                            f"{sample.sample_index} accepts degrees {degs}, "
+                            "which the rational adapted algebra refutes")
                     search = _search_summary(header, reasons_by_kt)
                     search.update(
                         witness_at=list(kts),

@@ -15,9 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 
-from .core import Algebra, Subspace, bracket_basis, bracket_vec_basis
+from .core import (
+    Algebra,
+    Subspace,
+    bracket_basis,
+    bracket_vec_basis,
+    right_columns,
+    right_image,
+    sparse_rows,
+)
 from .errors import InvalidInputError, NotNilpotentError
 from .linalg import RowSpace, Vector, identity, mat_vec, unit_vector
 
@@ -151,7 +158,9 @@ def _random_integer_vector(rng: random.Random, n: int) -> tuple[int, ...]:
 
 
 def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
-                            seed: int = DEFAULT_SEED) -> CharacteristicSequence:
+                            seed: int = DEFAULT_SEED,
+                            series: CentralSeries | None = None
+                            ) -> CharacteristicSequence:
     """Lexicographic maximum of C(x) over a finite test set.
 
     The test set holds every basis vector outside L^2, every pairwise sum
@@ -169,7 +178,8 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     and membership in L^2, come from ``RowSpace``, which eliminates
     fraction-free on integers, so no ``Fraction`` enters the loop.
     ``char_seq_at`` and ``nilpotent_block_profile`` remain the ``Fraction``
-    reference for a single vector.
+    reference for a single vector.  ``series``, when given, must be
+    ``lower_central_series(alg)``; it is computed otherwise.
 
     Candidates are visited in that order and each is dropped as soon as it
     cannot beat the best sequence so far.  This is exact: R_x^k(L) lies in
@@ -184,7 +194,9 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
-    l2 = RowSpace(n, lower_central_series(alg).derived_subalgebra.basis)
+    if series is None:
+        series = lower_central_series(alg)
+    l2 = RowSpace(n, series.derived_subalgebra.basis)
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
 
@@ -203,7 +215,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
             continue
         candidates.append(vec)
         drawn += 1
-    index = _integer_index(alg)
+    _, index = alg.integer_index
     best = None
     for x in candidates:
         seq = _pruned_char_seq(index, n, x, best)
@@ -212,45 +224,17 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     return best
 
 
-def _integer_index(alg: Algebra) -> dict[int, list]:
-    """``alg._by_left`` with each structure constant c replaced by the
-    integer D*c, D the least common denominator of all of them."""
-    den = lcm(1, *(c.denominator for row in alg._by_left.values()
-                   for _, terms in row for _, c in terms))
-    return {i: [(j, tuple((k, c.numerator * (den // c.denominator)) for k, c in terms))
-                for j, terms in row]
-            for i, row in alg._by_left.items()}
-
-
-def _right_image(columns, v) -> list[int]:
-    """[v, x] = sum_j v_j [e_j, x], from the sparse columns [e_j, x]."""
-    out = [0] * len(v)
-    for j, c in enumerate(v):
-        if c:
-            for k, a in columns[j]:
-                out[k] += c * a
-    return out
-
-
 def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
                      ) -> CharacteristicSequence | None:
     """C(x) if it is lexicographically above ``best``, else None.
 
-    ``index`` is the integer nonzero index of ``_integer_index`` and ``x``
-    an integer vector.  Walks the ranks of R_x^k: image_1 is spanned by the
+    ``index`` is the algebra's ``integer_index`` and ``x`` an integer
+    vector.  Walks the ranks of R_x^k: image_1 is spanned by the
     columns [e_j, x], image_{k+1} by [v, x] over a basis v of image_k.  The
     walk stops as soon as the lex-max completion of the ranks so far, which
     falls by one per step, gives a profile <= ``best``.
     """
-    columns = []  # [e_j, x]: the first image's spanning rows
-    for j in range(n):
-        col = [0] * n
-        for t, terms in index.get(j, ()):
-            c = x[t]
-            if c:
-                for k, a in terms:
-                    col[k] += c * a
-        columns.append(col)
+    columns = right_columns(index, n, x)  # the first image's spanning rows
     sparse = None  # the same columns as [(k, c), ...], built at step two
     ranks = [n]
     vectors = None
@@ -264,8 +248,8 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
             vectors = columns
         else:
             if sparse is None:
-                sparse = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
-            vectors = [_right_image(sparse, v) for v in vectors]
+                sparse = sparse_rows(columns)
+            vectors = [right_image(sparse, v) for v in vectors]
         # The vectors that enlarge the image form a basis of it, and R_x
         # maps any basis of image_k onto a spanning set of image_{k+1}.
         space = RowSpace(n)
@@ -277,9 +261,14 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
 
 
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,
-                  seed: int = DEFAULT_SEED) -> bool:
-    """True iff C(L) = (n-p, 1, ..., 1) with exactly p trailing ones."""
+                  seed: int = DEFAULT_SEED,
+                  series: CentralSeries | None = None) -> bool:
+    """True iff C(L) = (n-p, 1, ..., 1) with exactly p trailing ones.
+
+    ``series`` is passed on to ``characteristic_sequence``.
+    """
     if p < 0 or p >= alg.dim:
         raise InvalidInputError(f"need 0 <= p < dim, got p={p}, dim={alg.dim}")
     expected = (alg.dim - p,) + (1,) * p
-    return characteristic_sequence(alg, samples=samples, seed=seed).seq == expected
+    return characteristic_sequence(alg, samples=samples, seed=seed,
+                                   series=series).seq == expected

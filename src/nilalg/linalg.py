@@ -89,20 +89,25 @@ class RowSpace:
             v = [c.numerator * (den // c.denominator) for c in vec]
         return _cleared(v, self._pivots, self._rows)
 
-    def rows(self) -> Matrix:
-        """The reduced row echelon basis, in pivot order.
+    def _back_substituted(self) -> list[tuple[int, list[int]]]:
+        """(pivot, integer row) pairs in pivot order, each row zero at every
+        other pivot: the reduced row echelon basis before the division by
+        its pivot entries.
 
         The last row inserted is zero at every other pivot; each earlier row
-        is cleared at the later pivots by the rows already reduced, then
-        divided by its pivot entry.
+        is cleared at the later pivots by the rows already reduced.
         """
         pivots: list[int] = []
         done: list[list[int]] = []
         for p, row in zip(reversed(self._pivots), reversed(self._rows)):
             done.append(_cleared(row, pivots, done))
             pivots.append(p)
+        return sorted(zip(pivots, done))
+
+    def rows(self) -> Matrix:
+        """The reduced row echelon basis, in pivot order."""
         return tuple(tuple(Fraction(c, row[p]) if c else ZERO for c in row)
-                     for p, row in sorted(zip(pivots, done)))
+                     for p, row in self._back_substituted())
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return not any(self._residue(vec))
@@ -161,11 +166,40 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
-    """Exact inverse: the right half of the reduced echelon form of
-    [m | I], or None if m is singular (a pivot falls in the right half)."""
+def _inverse_rows(m: Sequence[Sequence[Fraction]]
+                  ) -> list[tuple[int, list[int]]] | None:
+    """The back-substituted integer rows of [m | I] (see
+    ``RowSpace._back_substituted``), or None if m is singular (a pivot
+    falls in the right half).  Row p's right half is row[p] times row p of
+    the inverse."""
     n = len(m)
-    space = RowSpace(2 * n, (tuple(m[i]) + unit_vector(n, i) for i in range(n)))
+    space = RowSpace(2 * n, (tuple(m[i]) + tuple(int(j == i) for j in range(n))
+                             for i in range(n)))
     if space.pivots != tuple(range(n)):
         return None
-    return tuple(row[n:] for row in space.rows())
+    return space._back_substituted()
+
+
+def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
+    """Exact inverse: the right half of the reduced echelon form of
+    [m | I], or None if m is singular."""
+    reduced = _inverse_rows(m)
+    if reduced is None:
+        return None
+    n = len(m)
+    return tuple(tuple(Fraction(c, row[p]) if c else ZERO for c in row[n:])
+                 for p, row in reduced)
+
+
+def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """d * m^-1 for one nonzero integer d, or None if m is singular.
+
+    The elimination of ``invert``; each row's right half is brought to the
+    common multiple d of the pivot entries instead of divided by its own.
+    """
+    reduced = _inverse_rows(m)
+    if reduced is None:
+        return None
+    n = len(m)
+    d = lcm(*(row[p] for p, row in reduced))
+    return tuple(tuple(c * (d // row[p]) for c in row[n:]) for p, row in reduced)

@@ -7,7 +7,8 @@ construction, and series dimensions for the Lie families come from the
 suffix sums of their known natural-gradation components.
 
 The dense reference kernels (bracket, the n^3 Leibniz sweep, Gauss-Jordan
-RREF and inverse, the all-pairs adapted-basis closure) walk every table
+RREF and inverse, the all-pairs adapted-basis closure of the rational
+generator draw) walk every table
 entry and every matrix entry, zero or not.  They read only
 ``Algebra.brackets`` and plain tuples, never the sparse index or
 ``RowSpace``, so the library's sparse kernels are checked against them for
@@ -28,6 +29,7 @@ from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
     DegreeAssignment,
+    GeneratorRoles,
     GradationReport,
     SymbolicDegree,
     verify_gradation,
@@ -166,6 +168,32 @@ def dense_closure(alg: Algebra, generators, unknowns: int):
         if len(vecs) == size:
             return None
     return tuple(vecs), tuple(forms)
+
+
+def random_coeff(rng: random.Random) -> Fraction:
+    """a/b with -3 <= a <= 3 and 1 <= b <= 3, drawn a then b."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def rational_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
+                        plain: bool) -> tuple:
+    """The adapted-basis search's generator draw on ``Fraction``: unit
+    vectors when ``plain``, else each entry off the lead a ``random_coeff``,
+    over the same supports in the same order."""
+    n = alg.dim
+    gens = []
+    for pos, lead in enumerate((roles.driver,) + roles.others):
+        vec = list(unit(n, lead))
+        if not plain:
+            if pos == 0 or roles.extra_draw is None:
+                support = set(range(n)) - {lead}
+            else:
+                support = (set(roles.extra_draw) | {roles.driver}
+                           | set(roles.others)) - {lead}
+            for k in sorted(support):
+                vec[k] = random_coeff(rng)
+        gens.append(tuple(vec))
+    return tuple(gens)
 
 
 def brute_diagonal_search(alg: Algebra) -> GradationReport:

@@ -244,6 +244,28 @@ def test_reproduce_construction_error_exit_2(tmp_path):
     assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
 
 
+BOOL_SPECS = (
+    {"family": "M4", "n": 8, "p": 4, "alpha": True},
+    {"family": "M4", "n": 8, "p": 4, "alpha": False},
+    {"family": "M5", "n": True, "p": 4},
+    {"family": "M5", "n": 8, "p": True},
+    {"family": "L", "n": 12, "p": 4, "r": [3, True, 7]},
+)
+
+
+@pytest.mark.parametrize("spec", BOOL_SPECS)
+def test_json_bools_refused_in_family_specs(tmp_path, capsys, spec):
+    # true/false load as the ints 1/0; a spec must spell them as numbers
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([spec]))
+    assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["catalog", "make", "--spec", str(spec_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: family spec") == 2
+
+
 def test_reproduce_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["reproduce", "--theorem", "thm33", "-o", str(a)]) == 0

@@ -262,18 +262,18 @@ def test_characteristic_sequence_matches_exhaustive_on_seeded_tables():
 
 def test_characteristic_sequence_prunes_candidates(monkeypatch):
     # Every candidate's first rank step reads its columns [e_j, x] directly;
-    # the steps after it go through ``_right_image`` with those columns.
+    # the steps after it go through ``right_image`` with those columns.
     # The exhaustive sweep takes all 31 candidates of M4(8,4,1) past step one.
     alg = make(FamilySpec("M4", 8, 4, (), 1))
     reached = []
-    right_image = invariants._right_image
+    right_image = invariants.right_image
 
     def counting(columns, v):
         if not reached or reached[-1] is not columns:
             reached.append(columns)
         return right_image(columns, v)
 
-    monkeypatch.setattr(invariants, "_right_image", counting)
+    monkeypatch.setattr(invariants, "right_image", counting)
     assert characteristic_sequence(alg).seq == (4, 1, 1, 1, 1)
     assert 0 < len(reached) < 31
 
@@ -320,7 +320,7 @@ def test_integer_walk_matches_fraction_reference(alg, coords, seed):
     # L^2, the integer walk without pruning gives C(x) of ``char_seq_at``
     n = alg.dim
     series = lower_central_series(alg)
-    index = invariants._integer_index(alg)
+    _, index = alg.integer_index
     with mock.patch.object(invariants, "_pruned_char_seq",
                            wraps=invariants._pruned_char_seq) as walk:
         characteristic_sequence(alg, samples=4, seed=seed)
@@ -342,7 +342,7 @@ def test_integer_walk_rejects_non_nilpotent_operator():
     two = Algebra.from_products(2, ("e1", "e2"), {(1, 0): [(1, F(-5, 2))]})
     for alg, x in ((one, (3,)), (two, (1, 0))):
         with pytest.raises(NotNilpotentError):
-            invariants._pruned_char_seq(invariants._integer_index(alg), alg.dim, x, None)
+            invariants._pruned_char_seq(alg.integer_index[1], alg.dim, x, None)
         with pytest.raises(InvalidInputError):
             nilpotent_block_profile(right_mult_matrix(alg, tuple(F(c) for c in x)))
 

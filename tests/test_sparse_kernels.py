@@ -3,27 +3,32 @@
 Every kernel that walks only nonzeros (the bracket routines over the
 algebra's nonzero index, the Leibniz sweep over triples that touch a table
 entry, sparse RREF rows, Subspace membership against the stored basis, the
-adapted-basis closure that skips old x old pairs) is compared with the
-dense loops in ``oracles`` on small random nilpotent tables, Leibniz or
-not, and on catalog algebras under a random invertible change of basis.
+integer adapted-basis closure that skips old x old pairs, and its closure
+support) is compared with the dense ``Fraction`` loops in ``oracles`` on
+small random nilpotent tables, Leibniz or not, and on catalog algebras
+under a random invertible change of basis.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilalg import (
     Algebra,
     FamilySpec,
     Subspace,
+    abelian_algebra,
     bracket,
     chain_algebra,
     change_of_basis,
     check_leibniz,
+    generator_roles,
     lower_central_series,
     make,
     right_mult_matrix,
+    two_generator_search,
 )
 from nilalg.core import bracket_basis, bracket_vec_basis
 from nilalg.gradations import (
@@ -43,6 +48,7 @@ from oracles import (
     random_invertible,
     random_nilpotent_algebra,
     rank,
+    rational_generators,
     unit,
 )
 
@@ -197,19 +203,119 @@ def test_subspace_contains_matches_rank(alg, data):
     assert l2.contains(probe) == (rank(list(l2.basis) + [probe], n) == l2.dim)
 
 
-@settings(max_examples=30, deadline=None)
-@given(algebras(), st.integers(min_value=0, max_value=10 ** 6), st.booleans())
-def test_adapted_closure_matches_all_pairs(alg, seed, plain):
-    n = alg.dim
+def first_generator_roles(alg):
     l2 = lower_central_series(alg).derived_subalgebra
-    gens = [i for i in range(n) if i not in set(l2.pivots)]
-    roles = GeneratorRoles(driver=gens[0], others=tuple(gens[1:]))
+    gens = [i for i in range(alg.dim) if i not in set(l2.pivots)]
+    return GeneratorRoles(driver=gens[0], others=tuple(gens[1:]))
+
+
+def closed_sample(alg, roles, seed, plain):
     sample = AdaptedBasisSample(
         sample_index=0, plain=plain,
         generators=_draw_generators(alg, roles, random.Random(seed), plain=plain))
     _close_adapted_basis(alg, sample, len(roles.others))
-    expected = dense_closure(alg, sample.generators, len(roles.others))
+    return sample
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras(), st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_adapted_closure_matches_all_pairs(alg, seed, plain):
+    roles = first_generator_roles(alg)
+    sample = closed_sample(alg, roles, seed, plain)
+    rational = rational_generators(alg, roles, random.Random(seed), plain)
+    expected = dense_closure(alg, rational, len(roles.others))
     if expected is None:
         assert sample.degenerate
     else:
         assert (sample.basis_matrix, sample.forms) == expected
+
+
+SEARCH_SPECS = (FamilySpec("M3", 5, 1), FamilySpec("M3", 6, 1),
+                FamilySpec("M4", 8, 4, (), 1), FamilySpec("M5", 8, 4))
+
+
+@st.composite
+def search_algebras(draw):
+    """A random nilpotent table of dim 1-7 (Leibniz or not), a chain or
+    abelian algebra, or a catalog algebra the search runs on in a random
+    basis; then each structure constant is optionally multiplied by 2/3 or
+    -5/2, so that the common denominator D exceeds one."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    kind = draw(st.sampled_from(("random", "chain", "abelian", "catalog")))
+    if kind == "random":
+        alg = random_nilpotent_algebra(rng, draw(st.integers(min_value=1, max_value=7)))
+    elif kind == "catalog":
+        alg = make(draw(st.sampled_from(SEARCH_SPECS)))
+    else:
+        dim = draw(st.integers(min_value=1, max_value=6))
+        alg = chain_algebra(dim) if kind == "chain" else abelian_algebra(dim)
+    if draw(st.booleans()):
+        # constants scaled entry by entry keep the support, hence nilpotency
+        table = {key: tuple(c * rng.choice((1, F(2, 3), F(-5, 2))) for c in vec)
+                 for key, vec in sorted(alg.brackets.items())}
+        alg = Algebra(alg.dim, alg.basis_labels, table)
+    if kind == "catalog":
+        alg = change_of_basis(alg, random_invertible(rng, alg.dim))
+    return alg
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_algebras(), st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_integer_closure_and_support_match_fraction_path(alg, seed, plain):
+    # the integer closure gives the Fraction closure's basis and forms, and
+    # its support is the adapted algebra's, which only the witness builds
+    roles = first_generator_roles(alg)
+    sample = closed_sample(alg, roles, seed, plain)
+    rational = rational_generators(alg, roles, random.Random(seed), plain)
+    expected = dense_closure(alg, rational, len(roles.others))
+    if expected is None:
+        assert sample.degenerate and sample.basis_matrix is None
+        return
+    assert (sample.basis_matrix, sample.forms) == expected
+    assert all(type(c) is int for row in sample.rows for c in row)
+    adapted = change_of_basis(alg, sample.basis_matrix, sample.labels)
+    assert sample.closure_support(alg) == adapted._triples
+
+
+def test_integer_closure_sees_content_and_denominators():
+    # one table where a bracket row has content > 1 and D > 1, so neither
+    # factor of the row scale is one
+    alg = Algebra.from_products(3, ("e1", "e2", "e3"), {
+        (0, 1): [(2, F(4, 3))], (1, 0): [(2, F(-2, 3))]})
+    assert alg.integer_index[0] == 3
+    roles = GeneratorRoles(driver=0, others=(1,))
+    sample = closed_sample(alg, roles, 0, True)
+    assert sample.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert sample.scales[2] == (4, 3)
+    assert sample.basis_matrix[2] == (0, 0, F(4, 3))
+    assert sample.closure_support(alg) == ((0, 1, 2), (1, 0, 2))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("M3", 6, 1), FamilySpec("M5", 8, 4)])
+def test_integer_draw_is_six_times_rational_draw(spec):
+    # the same RNG calls in the same order, a * (6 // b) in place of a/b;
+    # the plain draw is the unit vectors and reads no RNG
+    alg = make(spec)
+    for roles in (generator_roles(spec), first_generator_roles(alg)):
+        for seed in range(20):
+            ints, fracs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = _draw_generators(alg, roles, ints, plain=False)
+                expected = rational_generators(alg, roles, fracs, plain=False)
+                assert got == tuple(tuple(6 * c for c in g) for g in expected)
+            assert ints.getstate() == fracs.getstate()
+            state = ints.getstate()
+            assert (_draw_generators(alg, roles, ints, plain=True)
+                    == rational_generators(alg, roles, fracs, plain=True))
+            assert ints.getstate() == state == fracs.getstate()
+
+
+def test_search_refuses_a_support_the_fraction_path_refutes(monkeypatch):
+    # an empty support claims that every degree pattern closes; M3(5,1) has
+    # no maximum-length gradation, so the rational check must refuse the
+    # first pattern that passes the degree-set tests
+    monkeypatch.setattr(AdaptedBasisSample, "closure_support",
+                        lambda self, alg: ())
+    alg = make(FamilySpec("M3", 5, 1))
+    with pytest.raises(RuntimeError, match="refutes"):
+        two_generator_search(alg, roles=generator_roles(FamilySpec("M3", 5, 1)))
