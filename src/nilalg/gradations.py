@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd
+from operator import mul
 
 from .core import (
     Algebra,
@@ -56,6 +57,7 @@ from .invariants import (
     DEFAULT_SEED,
     CentralSeries,
     characteristic_sequence,
+    draw_scaled_rationals,
     lower_central_series,
 )
 from .linalg import RowSpace, Vector, ZERO, integer_inverse, is_zero_vector
@@ -133,9 +135,6 @@ class SymbolicDegree:
         return SymbolicDegree(self.a + other.a,
                               tuple(x + y for x, y in zip(self.b, other.b)),
                               self.c + other.c)
-
-    def value(self, ks: int, kts: tuple[int, ...]) -> int:
-        return self.a * ks + sum(x * k for x, k in zip(self.b, kts)) + self.c
 
 
 # -- gradation verification -------------------------------------------------
@@ -516,7 +515,8 @@ def _draw_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
                      plain: bool) -> tuple[tuple[int, ...], ...]:
     """Integer generators: unit vectors when ``plain``, else DRAW_SCALE times
     generic rational vectors, entries a/b with -3 <= a <= 3 and 1 <= b <= 3
-    drawn a then b, each entry computed as a * (DRAW_SCALE // b)."""
+    drawn a then b, each entry computed as a * (DRAW_SCALE // b) by
+    ``draw_scaled_rationals`` (the ``randint`` stream, from ``getrandbits``)."""
     n = alg.dim
     lead_entry = 1 if plain else DRAW_SCALE
     gens = []
@@ -530,8 +530,10 @@ def _draw_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
             else:
                 support = (set(roles.extra_draw) | {roles.driver}
                            | set(roles.others)) - {lead}
-            for k in sorted(support):
-                vec[k] = rng.randint(-3, 3) * (DRAW_SCALE // rng.randint(1, 3))
+            support = sorted(support)
+            for k, c in zip(support, draw_scaled_rationals(rng, len(support), 3, 3,
+                                                           DRAW_SCALE)):
+                vec[k] = c
         gens.append(tuple(vec))
     return tuple(gens)
 
@@ -694,10 +696,14 @@ def two_generator_search(alg: Algebra, samples: int = 3,
 
     reasons_by_kt: dict[tuple[int, ...], str] = {}
     domain = range(-kt_window, kt_window + 1)
+    # With k_s = 1 a form's degree is (a + c) + b . kts; the pairs are
+    # computed once per group rather than per form per tuple.
+    affine = [([(f.a + f.c, f.b) for f in forms], members)
+              for forms, members in groups.items()]
     for kts in product(domain, repeat=unknowns):
         verdict_reason = None
-        for forms, members in groups.items():
-            degs = [f.value(1, kts) for f in forms]
+        for pairs, members in affine:
+            degs = [const + sum(map(mul, b, kts)) for const, b in pairs]
             reason = _degree_reason(n, degs)
             if reason is not None:
                 if verdict_reason is None:

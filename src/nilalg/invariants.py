@@ -15,12 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .core import (
     Algebra,
     Subspace,
     bracket_basis,
-    bracket_vec_basis,
     right_columns,
     right_image,
     sparse_rows,
@@ -63,19 +63,40 @@ def lower_central_series(alg: Algebra) -> CentralSeries:
 
     Raises NotNilpotentError when the dimensions stop strictly decreasing
     before reaching zero.
+
+    The series runs on Python integers: L^{k+1} is spanned by [v, e_j]
+    over integer rows v spanning L^k, read from the algebra's
+    ``integer_index`` (the table scaled by its common denominator D, which
+    changes no span) by right factor.  The rows that enlarge one
+    ``RowSpace`` form a basis of L^{k+1} and feed the next step, and the
+    term's ``Subspace`` is that same ``RowSpace``'s canonical reduced
+    basis, so each term is eliminated once and equals the span of its
+    ``Fraction`` brackets.
     """
     n = alg.dim
-    whole = Subspace(n, identity(n), tuple(range(n)))
-    terms = [whole]
-    current = whole
-    while current.dim > 0:
-        nxt = Subspace.span(n, (bracket_vec_basis(alg, vec, j)
-                                for vec in current.basis for j in range(n)))
-        if nxt.dim >= current.dim:
+    _, index = alg.integer_index
+    # The index read by right factor: right[j][t] lists [e_t, e_j], so
+    # [v, e_j] = right_image(right[j], v).  A right factor e_j that
+    # annihilates everything gets no entry.
+    right: dict[int, list] = {}
+    for t, row in index.items():
+        for j, entries in row:
+            right.setdefault(j, [()] * n)[t] = entries
+    terms = [Subspace(n, identity(n), tuple(range(n)))]
+    basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    while basis:  # basis: integer rows spanning the last term
+        space = RowSpace(n)
+        image = []
+        for v in basis:
+            for cols in right.values():
+                w = right_image(cols, v)
+                if space.add(w):
+                    image.append(w)
+        if len(image) >= len(basis):
             raise NotNilpotentError(
-                f"descending central sequence stalls at dimension {current.dim}")
-        terms.append(nxt)
-        current = nxt
+                f"descending central sequence stalls at dimension {len(basis)}")
+        terms.append(Subspace(n, space.rows(), space.pivots))
+        basis = image
     return CentralSeries(tuple(terms))
 
 
@@ -150,11 +171,38 @@ def char_seq_at(alg: Algebra, x, series: CentralSeries | None = None
     return CharacteristicSequence(profile)
 
 
+def draw_scaled_rationals(rng: random.Random, count: int, top: int, den: int,
+                          scale: int) -> list[int]:
+    """``count`` entries ``scale`` * a/b, a = rng.randint(-top, top) and
+    b = rng.randint(1, den) drawn a then b; ``scale`` must be a multiple of
+    every b, so each entry is the integer a * (scale // b).
+
+    Each draw is taken by rejection on ``rng.getrandbits``, exactly as
+    CPython's ``randint`` takes it (``_randbelow_with_getrandbits``: the
+    bit length of the range size, redrawn until below it), so the entries
+    and the generator's final state equal those of the ``randint`` calls.
+    """
+    getrandbits = rng.getrandbits
+    width = 2 * top + 1
+    width_bits, den_bits = width.bit_length(), den.bit_length()
+    quotients = [scale // b for b in range(1, den + 1)]
+    out = []
+    for _ in range(count):
+        a = getrandbits(width_bits)
+        while a >= width:
+            a = getrandbits(width_bits)
+        b = getrandbits(den_bits)
+        while b >= den:
+            b = getrandbits(den_bits)
+        out.append((a - top) * quotients[b])
+    return out
+
+
 def _random_integer_vector(rng: random.Random, n: int) -> tuple[int, ...]:
     """12 times a random rational vector with entries a/b, -6 <= a <= 6 and
     1 <= b <= 4: the same draws in the same order, with 12 // b in place of
     the denominator."""
-    return tuple(rng.randint(-6, 6) * (12 // rng.randint(1, 4)) for _ in range(n))
+    return tuple(draw_scaled_rationals(rng, n, 6, 4, 12))
 
 
 def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
@@ -174,11 +222,15 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     so each random vector is drawn scaled by 12, which clears every
     denominator of its entries; and the table is scaled by the common
     denominator D of its structure constants, which turns R_x^k into
-    D^k R_x^k and leaves every rank, hence every C(x), unchanged.  Ranks,
-    and membership in L^2, come from ``RowSpace``, which eliminates
-    fraction-free on integers, so no ``Fraction`` enters the loop.
-    ``char_seq_at`` and ``nilpotent_block_profile`` remain the ``Fraction``
-    reference for a single vector.  ``series``, when given, must be
+    D^k R_x^k and leaves every rank, hence every C(x), unchanged.  The
+    draws come from ``draw_scaled_rationals``, which reproduces the
+    ``randint`` stream from ``getrandbits``.  Membership in L^2 is read
+    from the integer forms that vanish on it (``RowSpace.vanishing_forms``,
+    built once per sweep), so each test is a few dot products; ranks come
+    from ``RowSpace``, which eliminates fraction-free on integers, so no
+    ``Fraction`` enters the loop.  ``char_seq_at`` and
+    ``nilpotent_block_profile`` remain the ``Fraction`` reference for a
+    single vector.  ``series``, when given, must be
     ``lower_central_series(alg)``; it is computed otherwise.
 
     Candidates are visited in that order and each is dropped as soon as it
@@ -190,56 +242,64 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     that bound is <= the best so far, C(x) cannot exceed it, and an equal
     sequence never changes the maximum.  The result is therefore the same
     lexicographic maximum that computing C(x) on every candidate gives.
+    The bound depends only on the ranks seen so far, so one sweep computes
+    it once per rank prefix.
     """
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
     if series is None:
         series = lower_central_series(alg)
-    l2 = RowSpace(n, series.derived_subalgebra.basis)
-    if l2.dim == n:
+    if series.derived_subalgebra.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
+    forms = RowSpace(n, series.derived_subalgebra.basis).vanishing_forms()
 
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    outside = [i for i in range(n) if not l2.contains(units[i])]
+    # a form's value on e_i is its i-th coefficient
+    outside = [i for i in range(n) if any(form[i] for form in forms)]
     candidates = [units[i] for i in outside]
     for i, j in combinations(outside, 2):
-        vec = tuple(x + y for x, y in zip(units[i], units[j]))
-        if not l2.contains(vec):
-            candidates.append(vec)
+        if any(form[i] + form[j] for form in forms):
+            candidates.append(tuple(x + y for x, y in zip(units[i], units[j])))
     rng = random.Random(seed)
     drawn = 0
     while drawn < samples:
         vec = _random_integer_vector(rng, n)
-        if l2.contains(vec):
-            continue
-        candidates.append(vec)
-        drawn += 1
+        if any(sum(map(mul, form, vec)) for form in forms):
+            candidates.append(vec)
+            drawn += 1
     _, index = alg.integer_index
+    bounds: dict[tuple[int, ...], tuple[int, ...]] = {}
     best = None
     for x in candidates:
-        seq = _pruned_char_seq(index, n, x, best)
+        seq = _pruned_char_seq(index, n, x, best, bounds)
         if seq is not None:
             best = seq
     return best
 
 
-def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
-                     ) -> CharacteristicSequence | None:
+def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None,
+                     bounds: dict | None = None) -> CharacteristicSequence | None:
     """C(x) if it is lexicographically above ``best``, else None.
 
     ``index`` is the algebra's ``integer_index`` and ``x`` an integer
     vector.  Walks the ranks of R_x^k: image_1 is spanned by the
     columns [e_j, x], image_{k+1} by [v, x] over a basis v of image_k.  The
     walk stops as soon as the lex-max completion of the ranks so far, which
-    falls by one per step, gives a profile <= ``best``.
+    falls by one per step, gives a profile <= ``best``.  ``bounds`` caches
+    that profile by rank prefix across the calls of one sweep.
     """
+    if bounds is None:
+        bounds = {}
     columns = right_columns(index, n, x)  # the first image's spanning rows
     sparse = None  # the same columns as [(k, c), ...], built at step two
-    ranks = [n]
+    ranks = (n,)
     vectors = None
     while True:
-        bound = _profile_from_ranks(ranks + list(range(ranks[-1] - 1, -1, -1)))
+        bound = bounds.get(ranks)
+        if bound is None:
+            bound = bounds[ranks] = _profile_from_ranks(
+                ranks + tuple(range(ranks[-1] - 1, -1, -1)))
         if best is not None and bound <= best.seq:
             return None
         if ranks[-1] == 0:
@@ -257,7 +317,7 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None
         if space.dim >= ranks[-1]:
             raise NotNilpotentError(
                 "R_x is not nilpotent: matrix is not nilpotent (rank descent stalls)")
-        ranks.append(space.dim)
+        ranks += (space.dim,)
 
 
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,

@@ -109,6 +109,28 @@ class RowSpace:
         return tuple(tuple(Fraction(c, row[p]) if c else ZERO for c in row)
                      for p, row in self._back_substituted())
 
+    def vanishing_forms(self) -> list[tuple[int, ...]]:
+        """Integer linear forms whose common kernel is the span, one per
+        non-pivot column q: d*v[q] - sum_p v[p] * row_p[q] * (d // row_p[p])
+        over the back-substituted rows, d the lcm of their pivot entries.
+
+        A vector lies in the span iff it is the sum of its pivot entries
+        times the reduced basis, that is iff every form vanishes on it.
+        """
+        reduced = self._back_substituted()
+        d = lcm(*(row[p] for p, row in reduced))
+        pivots = {p for p, _ in reduced}
+        forms = []
+        for q in range(self.ncols):
+            if q not in pivots:
+                form = [0] * self.ncols
+                form[q] = d
+                for p, row in reduced:
+                    if row[q]:
+                        form[p] = -row[q] * (d // row[p])
+                forms.append(tuple(form))
+        return forms
+
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return not any(self._residue(vec))
 

@@ -15,7 +15,9 @@ entry and every matrix entry, zero or not.  They read only
 exact equality.  The brute-force diagonal search visits every permutation,
 so the pruned enumeration is checked against it, counters included; the
 exhaustive characteristic-sequence sweep computes C(x) in full on every
-candidate, so the rank-pruned sweep is checked against it.
+candidate, so the rank-pruned sweep is checked against it.  The
+``Fraction`` lower central series brackets each reduced basis vector of
+L^k with every e_j, so the integer series is checked against it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from nilalg import Algebra, InvalidInputError, char_seq_at, lower_central_series
+from nilalg import (
+    Algebra,
+    InvalidInputError,
+    NotNilpotentError,
+    Subspace,
+    char_seq_at,
+)
+from nilalg.core import bracket_vec_basis
 from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
@@ -34,8 +43,13 @@ from nilalg.gradations import (
     SymbolicDegree,
     verify_gradation,
 )
-from nilalg.invariants import DEFAULT_SAMPLES, DEFAULT_SEED, CharacteristicSequence
-from nilalg.linalg import unit_vector
+from nilalg.invariants import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    CentralSeries,
+    CharacteristicSequence,
+)
+from nilalg.linalg import identity, unit_vector
 
 ZERO = Fraction(0)
 
@@ -232,6 +246,25 @@ def brute_diagonal_search(alg: Algebra) -> GradationReport:
     return GradationReport(NO_GRADATION_FOUND, search=search)
 
 
+def fraction_lower_central_series(alg: Algebra) -> CentralSeries:
+    """L^{k+1} = span{[v, e_j]} over the reduced ``Fraction`` basis v of
+    L^k, by ``bracket_vec_basis``, until the first zero term; raises
+    NotNilpotentError when the dimensions stall above zero."""
+    n = alg.dim
+    whole = Subspace(n, identity(n), tuple(range(n)))
+    terms = [whole]
+    current = whole
+    while current.dim > 0:
+        nxt = Subspace.span(n, (bracket_vec_basis(alg, vec, j)
+                                for vec in current.basis for j in range(n)))
+        if nxt.dim >= current.dim:
+            raise NotNilpotentError(
+                f"descending central sequence stalls at dimension {current.dim}")
+        terms.append(nxt)
+        current = nxt
+    return CentralSeries(tuple(terms))
+
+
 def random_rational_vector(rng: random.Random, n: int) -> tuple:
     """Entries a/b with -6 <= a <= 6 and 1 <= b <= 4, drawn a then b: the
     vectors the characteristic-sequence sweep draws, before it scales them
@@ -242,9 +275,11 @@ def random_rational_vector(rng: random.Random, n: int) -> tuple:
 def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
                                        seed: int = DEFAULT_SEED) -> CharacteristicSequence:
     """``characteristic_sequence`` without pruning: the same candidates in
-    the same order, each given its full C(x) by ``char_seq_at``."""
+    the same order, each given its full C(x) by ``char_seq_at``, with
+    membership in L^2 tested by ``Subspace.contains`` on the ``Fraction``
+    series."""
     n = alg.dim
-    series = lower_central_series(alg)
+    series = fraction_lower_central_series(alg)
     l2 = series.derived_subalgebra
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")

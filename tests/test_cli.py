@@ -10,12 +10,13 @@ from nilalg.cli import main, run_pipeline
 from nilalg import (
     FamilySpec,
     algebra_to_json,
+    change_of_basis,
     diagonal_search,
     make,
     two_generator_search,
 )
 
-from oracles import random_nilpotent_algebra
+from oracles import random_invertible, random_nilpotent_algebra
 
 
 def write_algebra(tmp_path, spec, name="alg.json"):
@@ -224,6 +225,66 @@ def test_search_reports_pinned():
                    two_generator_search(alg, samples=2).to_dict()]
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == expected, index
+
+
+# sha256 of each default-seed ``invariants -o`` report (series dims,
+# nilindex, characteristic sequence, natural gradation dims): one algebra
+# per catalog family, M4(24,12,1), and two catalog algebras moved to a
+# random basis, where L^2 is not spanned by basis vectors.  Only the
+# p-filiform bool reaches the pinned theorem reports; this pins the
+# sweep's sequence and the series themselves.
+INVARIANTS_SHA256 = {
+    "L(12, 4, (3,5,7))":
+        "dd82db009966784a973de5e057866ef612726e8220699dec39834d733c471208",
+    "Q(15, 4, (3,5,7))":
+        "6bc65f09c5b42ecec713dc659409c5f0cd010c1d874582968b32b771aa3c957a",
+    "TAU_NP1(12, 4, (3,5))":
+        "5f5f10f6f2bb4dfb90e4cb3060cb2d6390c1e8141ef9a0d0c733639ac267ad6a",
+    "TAU_NP2(13, 4, (3,5))":
+        "b1468fe83471fb329f352228b2795028cea016c7159f170b36044b4ca50d9ae0",
+    "M1(8, 4)":
+        "1a454f4db61ecfc162bcd3ec7b54a181477e29b71da2476cdab47036d81659ae",
+    "M2(8, 4)":
+        "3fea3461d57c291cf0e8c941048fa6f37979a09675ebe6304df4143232d4d240",
+    "M3(9, 5)":
+        "efc8bc5145cc9b347d53cc0540b690dbf6955ea68e11334f482e070856259ce8",
+    "M4(10, 4, alpha=0)":
+        "92b9d342fdf7e1d53434f4eaab9940f9f01b95db0bddfe38a63a60922ba0ba1f",
+    "M4(24, 12, alpha=1)":
+        "ae6fed2dd7c812c791d64ef4f5ba81c0f18e2c6a38576a31e1e323849879d7ee",
+    "M5(10, 4)":
+        "9d15a41bc1cc2c0494ca39ebe637c201fc989702d319d10de630f2891263728a",
+    "M5(8, 4) in basis 7":
+        "94600a71a122fcd3ee8c376d8f1a669bb13c010865b13e9bb08c9802b11c7e98",
+    "M4(8, 4, alpha=1) in basis 8":
+        "6d561e6680221684d995339b8ca1ac5d98c3ea449278a0f55e22ccb3f1bdf345",
+}
+
+
+def invariants_report_hashes(tmp_path) -> dict:
+    specs = [FamilySpec("L", 12, 4, (3, 5, 7)), FamilySpec("Q", 15, 4, (3, 5, 7)),
+             FamilySpec("TAU_NP1", 12, 4, (3, 5)), FamilySpec("TAU_NP2", 13, 4, (3, 5)),
+             FamilySpec("M1", 8, 4), FamilySpec("M2", 8, 4), FamilySpec("M3", 9, 5),
+             FamilySpec("M4", 10, 4, (), 0), FamilySpec("M4", 24, 12, (), 1),
+             FamilySpec("M5", 10, 4)]
+    algebras = {spec.name(): make(spec) for spec in specs}
+    for seed, spec in ((7, FamilySpec("M5", 8, 4)), (8, FamilySpec("M4", 8, 4, (), 1))):
+        alg = make(spec)
+        algebras[f"{spec.name()} in basis {seed}"] = change_of_basis(
+            alg, random_invertible(random.Random(seed), alg.dim))
+    hashes = {}
+    for index, (name, alg) in enumerate(algebras.items()):
+        path = tmp_path / f"alg{index}.json"
+        out = tmp_path / f"inv{index}.json"
+        path.write_text(algebra_to_json(alg) + "\n")
+        assert main(["invariants", str(path), "-o", str(out)]) == 0
+        hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return hashes
+
+
+def test_invariants_reports_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILALG_SEED", raising=False)
+    assert invariants_report_hashes(tmp_path) == INVARIANTS_SHA256
 
 
 def test_reproduce_mismatch_exit_1(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from unittest import mock
 
@@ -26,11 +27,13 @@ from nilalg import (
     right_mult_matrix,
 )
 from nilalg import invariants
+from nilalg.catalog import FAMILIES
 from nilalg.linalg import zero_vector
 
 from oracles import (
     conjugated_nilpotent,
     exhaustive_characteristic_sequence,
+    fraction_lower_central_series,
     jordan_nilpotent,
     lie_family_series_dims,
     random_invertible,
@@ -264,7 +267,10 @@ def test_characteristic_sequence_prunes_candidates(monkeypatch):
     # Every candidate's first rank step reads its columns [e_j, x] directly;
     # the steps after it go through ``right_image`` with those columns.
     # The exhaustive sweep takes all 31 candidates of M4(8,4,1) past step one.
+    # The series, which also brackets through ``right_image``, is computed
+    # before the count starts.
     alg = make(FamilySpec("M4", 8, 4, (), 1))
+    series = lower_central_series(alg)
     reached = []
     right_image = invariants.right_image
 
@@ -274,7 +280,7 @@ def test_characteristic_sequence_prunes_candidates(monkeypatch):
         return right_image(columns, v)
 
     monkeypatch.setattr(invariants, "right_image", counting)
-    assert characteristic_sequence(alg).seq == (4, 1, 1, 1, 1)
+    assert characteristic_sequence(alg, series=series).seq == (4, 1, 1, 1, 1)
     assert 0 < len(reached) < 31
 
 
@@ -308,6 +314,58 @@ def rational_tables(draw):
     if draw(st.booleans()):
         alg = change_of_basis(alg, random_invertible(rng, alg.dim))
     return alg
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_tables())
+def test_integer_series_matches_fraction_reference(alg):
+    # every term is the same canonical Subspace as the Fraction series gives
+    assert lower_central_series(alg) == fraction_lower_central_series(alg)
+
+
+def _catalog_specs(n_max):
+    """Every spec ``make`` accepts with n <= n_max, with its algebra."""
+    odd = range(3, n_max + 1, 2)
+    for family in FAMILIES:
+        for n in range(3, n_max + 1):
+            for p in range(1, n):
+                if family.startswith("M"):
+                    options = [((), alpha) for alpha in
+                               ((0, 1) if family == "M4" else (None,))]
+                else:
+                    options = [(r, None) for k in (p - 2, p - 1) if k >= 0
+                               for r in combinations(odd, k)]
+                for r, alpha in options:
+                    spec = FamilySpec(family, n, p, r, alpha)
+                    try:
+                        alg = make(spec)
+                    except InvalidInputError:
+                        continue
+                    yield spec, alg
+
+
+def test_integer_series_matches_fraction_reference_on_catalog():
+    families = set()
+    for spec, alg in _catalog_specs(11):
+        assert lower_central_series(alg) == fraction_lower_central_series(alg), \
+            spec.name()
+        families.add(spec.family)
+    assert families == set(FAMILIES)
+
+
+def test_integer_series_rejects_non_nilpotent_tables():
+    # the series stalls at L^1 (dim 1), at L^2 = <e3> (dim 3, [e3, e1] =
+    # -5/2 e3) and at L^2 of a 2/3-scaled copy moved to a random basis
+    one = Algebra.from_products(1, ("e1",), {(0, 0): [(0, F(2, 3))]})
+    three = Algebra.from_products(3, ("e1", "e2", "e3"),
+                                  {(0, 1): [(2, F(1))], (2, 0): [(2, F(-5, 2))]})
+    moved = change_of_basis(three, random_invertible(random.Random(5), 3))
+    for alg in (one, three, moved):
+        with pytest.raises(NotNilpotentError) as got:
+            lower_central_series(alg)
+        with pytest.raises(NotNilpotentError) as expected:
+            fraction_lower_central_series(alg)
+        assert str(got.value) == str(expected.value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Exact echelon machinery: canonical forms, ranks, inverses."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +96,40 @@ def test_integer_inverse_is_a_multiple_of_the_inverse(m):
     d = mat_mul(m, got)[0][0]
     assert d != 0
     assert got == tuple(tuple(d * c for c in row) for row in expected)
+
+
+@st.composite
+def subspaces_and_vectors(draw):
+    """Rational rows spanning a subspace of Q^n (1 <= n <= 7, possibly
+    dependent or zero), and integer vectors: combinations of the rows
+    scaled to integers, which lie in the span, and random ones."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    coeff = st.integers(min_value=-3, max_value=3)
+    vectors = draw(st.lists(st.lists(st.integers(min_value=-4, max_value=4),
+                                     min_size=n, max_size=n), max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        cs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+        vec = [sum((c * F(row[j]) for c, row in zip(cs, rows)), F(0))
+               for j in range(n)]
+        den = lcm(*(c.denominator for c in vec))
+        vectors.append([int(c * den) for c in vec])
+    return n, rows, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspaces_and_vectors())
+def test_vanishing_forms_decide_membership(case):
+    n, rows, vectors = case
+    space = RowSpace(n, rows)
+    forms = space.vanishing_forms()
+    assert len(forms) == n - space.dim
+    assert all(type(c) is int for form in forms for c in form)
+    for vec in vectors + [list(row) for row in space.rows()]:
+        vanish = not any(sum(a * b for a, b in zip(form, vec)) for form in forms)
+        assert vanish == space.contains(vec)
 
 
 def test_unit_vector():
