@@ -32,7 +32,6 @@ from .gradations import (
     NO_GRADATION_FOUND,
     NOT_MAXIMUM_LENGTH,
     NaturalGradation,
-    SymbolicDegree,
     diagonal_search,
     graded_fingerprint,
     m4_1_witness,
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "LeibnizReport", "Subspace", "FamilySpec", "DegreeAssignment",
     "Fingerprint", "GeneratorRoles", "GradationReport", "NaturalGradation",
-    "SymbolicDegree", "CentralSeries", "CharacteristicSequence",
+    "CentralSeries", "CharacteristicSequence",
     "NilalgError", "InvalidInputError", "NotNilpotentError",
     "DegenerateSampleError", "MAXIMUM_LENGTH", "NOT_MAXIMUM_LENGTH",
     "NO_GRADATION_FOUND", "DEFAULT_SEED",

@@ -152,7 +152,7 @@ def cmd_invariants(args) -> int:
     report["series_dims"] = list(series.dims)
     report["nilindex"] = len(series.dims) - 1
     report["characteristic_sequence"] = list(
-        characteristic_sequence(alg, seed=seed).seq)
+        characteristic_sequence(alg, seed=seed, series=series).seq)
     report["natural_gradation_dims"] = list(
         natural_gradation(alg, series).component_dims)
     _emit(report, args.out)

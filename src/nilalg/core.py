@@ -125,14 +125,13 @@ class Subspace:
 class Algebra:
     """Finite-dimensional algebra over Q given by a sparse bracket table.
 
-    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  The bracket
-    routines read a nonzero index built once at construction: ``_by_left``
-    maps i to [(j, ((k, c), ...))] and ``_by_right`` maps j to
-    [(i, ((k, c), ...))], listing only the nonzero coefficients c of e_k.
-    ``_triples`` lists every (i, j, k) with a nonzero coefficient of e_k in
-    [e_i, e_j], for degree checks that need only the support.
-    ``integer_index`` is the same index on Python integers, built on first
-    use.
+    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  Every
+    bracket routine reads ``integer_index``, built on first use: D, the
+    least common denominator of the structure constants, and the table
+    scaled by D, with i mapped to [(j, ((k, D*c), ...))] listing only the
+    nonzero coefficients c of e_k in [e_i, e_j].  ``_triples`` lists every
+    (i, j, k) with such a coefficient, for degree checks that need only the
+    support.
     """
 
     dim: int
@@ -146,8 +145,6 @@ class Algebra:
             raise InvalidInputError("basis_labels length must equal dim")
         if len(set(self.basis_labels)) != self.dim:
             raise InvalidInputError("basis labels must be distinct")
-        by_left: dict[int, list] = {}
-        by_right: dict[int, list] = {}
         triples: list[tuple[int, int, int]] = []
         for (i, j), vec in self.brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -156,29 +153,26 @@ class Algebra:
                 raise InvalidInputError(
                     f"bracket ({i},{j}) value has length {len(vec)}, "
                     f"expected {self.dim}")
-            terms = tuple((k, c) for k, c in enumerate(vec) if c)
-            if terms:
-                by_left.setdefault(i, []).append((j, terms))
-                by_right.setdefault(j, []).append((i, terms))
-                triples.extend((i, j, k) for k, _ in terms)
-        object.__setattr__(self, "_by_left", by_left)
-        object.__setattr__(self, "_by_right", by_right)
+            triples.extend((i, j, k) for k, c in enumerate(vec) if c)
         object.__setattr__(self, "_triples", tuple(triples))
 
     @cached_property
     def integer_index(self) -> tuple[int, dict[int, list]]:
-        """(D, index): ``_by_left`` with each structure constant c replaced
-        by the integer D*c, D the least common denominator of all of them.
+        """(D, index): index[i] lists (j, ((k, D*c), ...)) for each nonzero
+        [e_i, e_j], in ``brackets`` order, D the least common denominator of
+        the structure constants c.
 
         On integer vectors the routines below then compute D times the
         bracket, which has the same span and the same support.
         """
-        den = lcm(1, *(c.denominator for row in self._by_left.values()
-                       for _, terms in row for _, c in terms))
-        index = {i: [(j, tuple((k, c.numerator * (den // c.denominator))
-                               for k, c in terms))
-                     for j, terms in row]
-                 for i, row in self._by_left.items()}
+        den = lcm(1, *(c.denominator for vec in self.brackets.values()
+                       for c in vec if c))
+        index: dict[int, list] = {}
+        for (i, j), vec in self.brackets.items():
+            terms = tuple((k, c.numerator * (den // c.denominator))
+                          for k, c in enumerate(vec) if c)
+            if terms:
+                index.setdefault(i, []).append((j, terms))
         return den, index
 
     # -- construction helpers -------------------------------------------
@@ -216,50 +210,37 @@ class Algebra:
 
 
 def bracket(alg: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    """Bilinear extension [x, y] = sum_i sum_j x_i y_j [e_i, e_j]."""
+    """Bilinear extension [x, y] = sum_i sum_j x_i y_j [e_i, e_j].
+
+    On ``integer_index`` the sparse columns D [e_i, y] applied to x give
+    D [x, y], which is then divided by D.
+    """
     if len(x) != alg.dim or len(y) != alg.dim:
         raise InvalidInputError(
             f"vector length mismatch: got {len(x)} and {len(y)}, "
             f"algebra has dim {alg.dim}")
-    out = [ZERO] * alg.dim
-    by_left = alg._by_left
-    for i, xi in enumerate(x):
-        if xi and i in by_left:
-            for j, terms in by_left[i]:
-                yj = y[j]
-                if yj:
-                    c = xi * yj
-                    for k, a in terms:
-                        out[k] += c * a
-    return tuple(out)
+    den, index = alg.integer_index
+    scaled = right_image(sparse_rows(right_columns(index, alg.dim, y)), x)
+    inv = Fraction(1, den)
+    return tuple(c * inv for c in scaled)
 
 
+# The two basis-vector forms stay as names of their own: the benchmark's
+# tracer (bench/tracing.py) counts calls to each by name.
 def bracket_basis(alg: Algebra, i: int, vec: Sequence[Fraction]) -> Vector:
-    """[e_i, vec] without building the left unit vector."""
-    out = [ZERO] * alg.dim
-    for j, terms in alg._by_left.get(i, ()):
-        c = vec[j]
-        if c:
-            for k, a in terms:
-                out[k] += c * a
-    return tuple(out)
+    """[e_i, vec]."""
+    return bracket(alg, alg.basis_vector(i), vec)
 
 
 def bracket_vec_basis(alg: Algebra, vec: Sequence[Fraction], j: int) -> Vector:
-    """[vec, e_j] without building the right unit vector."""
-    out = [ZERO] * alg.dim
-    for i, terms in alg._by_right.get(j, ()):
-        c = vec[i]
-        if c:
-            for k, a in terms:
-                out[k] += c * a
-    return tuple(out)
+    """[vec, e_j]."""
+    return bracket(alg, vec, alg.basis_vector(j))
 
 
 def right_columns(index: Mapping[int, list], n: int, x: Sequence[int]
                   ) -> list[list[int]]:
     """The columns [e_j, x], j < n, of R_x on an ``integer_index`` table,
-    as dense integer lists."""
+    as dense lists: D times the columns, integer when x is."""
     columns = []
     for j in range(n):
         col = [0] * n
@@ -326,12 +307,14 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
     (j, k), (i, j) or (i, k), so triples where all three are zero have zero
     defect by bilinearity and are skipped; the rest run in (i, j, k) order.
     A triple's defect is accumulated sparsely from the pair view
-    (i, j) -> ((k, c), ...) of the nonzero index: each term is a sum of
-    products of two structure constants, added into a dict keyed by basis
-    index.  The dense defect vector is built only for a violation.
+    (i, j) -> ((k, D*c), ...) of ``integer_index``: each term is a sum of
+    products of two structure constants, so the integer sum, added into a
+    dict keyed by basis index, is D^2 times the defect.  The dense
+    ``Fraction`` defect, that sum over D^2, is built only for a violation.
     """
     n = alg.dim
-    pairs = {(i, j): terms for i, row in alg._by_left.items() for j, terms in row}
+    den, index = alg.integer_index
+    pairs = {(i, j): terms for i, row in index.items() for j, terms in row}
     right_of = [set() for _ in range(n)]  # right_of[i]: j with [e_i, e_j] != 0
     for i, j in pairs:
         right_of[i].add(j)
@@ -341,20 +324,20 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
             ij = pairs.get((i, j), ())  # [e_i, e_j]
             ks = range(n) if ij else sorted(right_of[i] | right_of[j])
             for k in ks:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for t, a in pairs.get((j, k), ()):  # [e_i, [e_j, e_k]]
                     for m, b in pairs.get((i, t), ()):
-                        acc[m] = acc.get(m, ZERO) + a * b
+                        acc[m] = acc.get(m, 0) + a * b
                 for t, a in ij:  # - [[e_i, e_j], e_k]
                     for m, b in pairs.get((t, k), ()):
-                        acc[m] = acc.get(m, ZERO) - a * b
+                        acc[m] = acc.get(m, 0) - a * b
                 for t, a in pairs.get((i, k), ()):  # + [[e_i, e_k], e_j]
                     for m, b in pairs.get((t, j), ()):
-                        acc[m] = acc.get(m, ZERO) + a * b
+                        acc[m] = acc.get(m, 0) + a * b
                 if any(acc.values()):
                     defect = [ZERO] * n
                     for m, c in acc.items():
-                        defect[m] = c
+                        defect[m] = Fraction(c, den * den)
                     violations.append(LeibnizViolation((i, j, k), tuple(defect)))
     return LeibnizReport(n, tuple(violations))
 
@@ -380,9 +363,14 @@ def square_ideal(alg: Algebra) -> Subspace:
     """Two-sided ideal generated by the squares [x, x].
 
     Seeded by [e_i, e_i] and the polarizations [e_i, e_j] + [e_j, e_i],
-    then closed under bracketing with basis elements on both sides.
+    whose span holds [x, v] + [v, x] for all x and v by bilinearity, then
+    closed under bracketing with basis elements on the left.  That closes
+    it on the right too: [v, x] = ([v, x] + [x, v]) - [x, v].  The brackets
+    come from ``integer_index`` as D times the bracket, which spans the
+    same ideal.
     """
     n = alg.dim
+    _, index = alg.integer_index
     space = RowSpace(n)
     frontier = []
 
@@ -397,9 +385,8 @@ def square_ideal(alg: Algebra) -> Subspace:
                        zip(alg.table_entry(i, j), alg.table_entry(j, i))))
     while frontier:
         vec = frontier.pop()
-        for i in range(n):
-            feed(bracket_basis(alg, i, vec))
-            feed(bracket_vec_basis(alg, vec, i))
+        for left in right_columns(index, n, vec):  # D [e_i, vec]
+            feed(left)
     return Subspace(n, space.rows(), space.pivots)
 
 
@@ -418,12 +405,16 @@ def change_of_basis(alg: Algebra, m: Sequence[Sequence[Fraction]],
         raise InvalidInputError("change-of-basis matrix is singular")
     if labels is None:
         labels = tuple(f"b{i + 1}" for i in range(n))
-    # Old coordinates u map to new coordinates u * minv (rows are new basis).
+    # Old coordinates u map to new coordinates u * minv (rows are new basis);
+    # the kernel gives D [b_i, b_j], so minv takes the factor 1/D.
+    den, index = alg.integer_index
+    minv = tuple(tuple(c / den for c in row) for row in minv)
+    columns = [sparse_rows(right_columns(index, n, row)) for row in m]
     new_table = {}
     for i in range(n):
         for j in range(n):
-            prod = bracket(alg, m[i], m[j])
-            if not is_zero_vector(prod):
+            prod = right_image(columns[j], m[i])
+            if any(prod):
                 new_table[(i, j)] = row_times_mat(prod, minv)
     return Algebra(n, tuple(labels), new_table)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd
-from operator import mul
+from operator import add, mul
 
 from .core import (
     Algebra,
@@ -117,24 +117,6 @@ class DegreeAssignment:
     @staticmethod
     def from_json(text: str, alg: Algebra) -> "DegreeAssignment":
         return DegreeAssignment.from_dict(load_json(text), alg)
-
-
-@dataclass(frozen=True)
-class SymbolicDegree:
-    """Affine degree a*k_s + sum_t b_t*k_t + c over the unknown generator degrees.
-
-    In the classic two-generator search there is a single unknown k_t and
-    the form reduces to a*k_s + b*k_t + c.
-    """
-
-    a: int
-    b: tuple[int, ...]
-    c: int = 0
-
-    def plus(self, other: "SymbolicDegree") -> "SymbolicDegree":
-        return SymbolicDegree(self.a + other.a,
-                              tuple(x + y for x, y in zip(self.b, other.b)),
-                              self.c + other.c)
 
 
 # -- gradation verification -------------------------------------------------
@@ -460,10 +442,12 @@ class AdaptedBasisSample:
     Everything up to a witness runs on Python ints.  ``generators`` and
     ``rows`` are integer vectors, and ``scales[s] = (a, b)`` makes
     a/b * rows[s] the rational adapted basis vector that ``basis_matrix``
-    returns, the vector a ``Fraction`` closure would have built.  The
-    closure support (``closure_support``) is computed from the integer
-    rows on first use; the algebra in the adapted basis is built only to
-    certify a witness.
+    returns, the vector a ``Fraction`` closure would have built.
+    ``forms[s] = (a, b_1, ..., b_u)`` gives that vector the degree
+    a*k_s + b_1*k_1 + ... + b_u*k_u in the driver degree k_s and the
+    unknown degrees k_t.  The closure support (``closure_support``) is
+    computed from the integer rows on first use; the algebra in the
+    adapted basis is built only to certify a witness.
     """
 
     sample_index: int
@@ -471,7 +455,7 @@ class AdaptedBasisSample:
     generators: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...] | None = None
     scales: tuple[tuple[int, int], ...] | None = None
-    forms: tuple[SymbolicDegree, ...] | None = None
+    forms: tuple[tuple[int, ...], ...] | None = None
     labels: tuple[str, ...] | None = None
     support: tuple[tuple[int, int, int], ...] | None = None
 
@@ -553,10 +537,8 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
     den, index = alg.integer_index
     rows = list(sample.generators)
     scales = [(1, 1 if sample.plain else DRAW_SCALE)] * len(rows)
-    forms = [SymbolicDegree(1, (0,) * unknowns)]
-    for t in range(unknowns):
-        forms.append(SymbolicDegree(0, tuple(1 if s == t else 0
-                                             for s in range(unknowns))))
+    forms = [tuple(int(s == t) for s in range(unknowns + 1))
+             for t in range(unknowns + 1)]
     space = RowSpace(n)
     for v in rows:
         if not space.add(v):
@@ -581,7 +563,7 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
                 rows.append(tuple(c // g for c in w))
                 (ai, bi), (aj, bj) = scales[i], scales[j]
                 scales.append((ai * aj * g, bi * bj * den))
-                forms.append(forms[i].plus(forms[j]))
+                forms.append(tuple(map(add, forms[i], forms[j])))
                 added = True
                 if space.dim == n:
                     break
@@ -696,9 +678,9 @@ def two_generator_search(alg: Algebra, samples: int = 3,
 
     reasons_by_kt: dict[tuple[int, ...], str] = {}
     domain = range(-kt_window, kt_window + 1)
-    # With k_s = 1 a form's degree is (a + c) + b . kts; the pairs are
-    # computed once per group rather than per form per tuple.
-    affine = [([(f.a + f.c, f.b) for f in forms], members)
+    # With k_s = 1 a form's degree is a + b . kts; the pairs are computed
+    # once per group rather than per form per tuple.
+    affine = [([(f[0], f[1:]) for f in forms], members)
               for forms, members in groups.items()]
     for kts in product(domain, repeat=unknowns):
         verdict_reason = None

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 from .core import (
     Algebra,
     Subspace,
-    bracket_basis,
     right_columns,
     right_image,
     sparse_rows,
@@ -112,8 +112,10 @@ def right_mult_matrix(alg: Algebra, x) -> tuple[Vector, ...]:
         raise InvalidInputError(
             f"vector length {len(x)} does not match dim {alg.dim}")
     n = alg.dim
-    cols = [bracket_basis(alg, j, x) for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    den, index = alg.integer_index
+    cols = right_columns(index, n, x)  # D [e_j, x]
+    inv = Fraction(1, den)
+    return tuple(tuple(cols[j][i] * inv for j in range(n)) for i in range(n))
 
 
 def _profile_from_ranks(ranks) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ suffix sums of their known natural-gradation components.
 
 The dense reference kernels (bracket, the n^3 Leibniz sweep, Gauss-Jordan
 RREF and inverse, the all-pairs adapted-basis closure of the rational
-generator draw) walk every table
+generator draw, the squares ideal grown to its rank) walk every table
 entry and every matrix entry, zero or not.  They read only
 ``Algebra.brackets`` and plain tuples, never the sparse index or
 ``RowSpace``, so the library's sparse kernels are checked against them for
@@ -17,7 +17,8 @@ so the pruned enumeration is checked against it, counters included; the
 exhaustive characteristic-sequence sweep computes C(x) in full on every
 candidate, so the rank-pruned sweep is checked against it.  The
 ``Fraction`` lower central series brackets each reduced basis vector of
-L^k with every e_j, so the integer series is checked against it.
+L^k with every e_j by the dense bracket, so the integer series is checked
+against it.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from nilalg import (
     Subspace,
     char_seq_at,
 )
-from nilalg.core import bracket_vec_basis
 from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
     DegreeAssignment,
     GeneratorRoles,
     GradationReport,
-    SymbolicDegree,
     verify_gradation,
 )
 from nilalg.invariants import (
@@ -61,9 +60,10 @@ def dense_bracket(alg: Algebra, x, y) -> tuple:
     n = alg.dim
     out = [ZERO] * n
     for (i, j), vec in alg.brackets.items():
-        c = x[i] * y[j]
-        for k in range(n):
-            out[k] += c * vec[k]
+        if x[i] and y[j]:
+            c = x[i] * y[j]
+            for k in range(n):
+                out[k] += c * vec[k]
     return tuple(out)
 
 
@@ -104,6 +104,26 @@ def dense_right_mult(alg: Algebra, x) -> tuple:
     n = alg.dim
     cols = [dense_bracket(alg, unit(n, j), x) for j in range(n)]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def dense_square_ideal(alg: Algebra) -> tuple[tuple, tuple]:
+    """(rows, pivots) of the reduced row echelon basis of the two-sided
+    ideal generated by the squares: the span of every [e_i, e_j] + [e_j, e_i]
+    with i <= j (twice [e_i, e_i] when i = j), grown by [e_k, v] and
+    [v, e_k] for every basis row v and every k until the rank stops
+    growing."""
+    n = alg.dim
+    units = [unit(n, k) for k in range(n)]
+    vecs = [tuple(a + b for a, b in zip(dense_bracket(alg, units[i], units[j]),
+                                        dense_bracket(alg, units[j], units[i])))
+            for i in range(n) for j in range(i, n)]
+    rows, pivots = dense_rref(vecs, n)
+    while True:
+        grown = list(rows) + [w for v in rows for u in units
+                              for w in (dense_bracket(alg, u, v), dense_bracket(alg, v, u))]
+        if rank(grown, n) == len(rows):
+            return rows, pivots
+        rows, pivots = dense_rref(grown, n)
 
 
 def dense_rref(rows, ncols: int) -> tuple[tuple, tuple]:
@@ -164,9 +184,8 @@ def dense_closure(alg: Algebra, generators, unknowns: int):
     generators are dependent or the closure stalls below full rank."""
     n = alg.dim
     vecs = list(generators)
-    forms = [SymbolicDegree(1, (0,) * unknowns)]
-    for t in range(unknowns):
-        forms.append(SymbolicDegree(0, tuple(int(s == t) for s in range(unknowns))))
+    forms = [tuple(int(s == t) for s in range(unknowns + 1))
+             for t in range(unknowns + 1)]
     if rank(vecs, n) < len(vecs):
         return None
     while len(vecs) < n:
@@ -178,7 +197,7 @@ def dense_closure(alg: Algebra, generators, unknowns: int):
                 w = dense_bracket(alg, vecs[i], vecs[j])
                 if rank(vecs + [w], n) > len(vecs):
                     vecs.append(w)
-                    forms.append(forms[i].plus(forms[j]))
+                    forms.append(tuple(a + b for a, b in zip(forms[i], forms[j])))
         if len(vecs) == size:
             return None
     return tuple(vecs), tuple(forms)
@@ -248,14 +267,14 @@ def brute_diagonal_search(alg: Algebra) -> GradationReport:
 
 def fraction_lower_central_series(alg: Algebra) -> CentralSeries:
     """L^{k+1} = span{[v, e_j]} over the reduced ``Fraction`` basis v of
-    L^k, by ``bracket_vec_basis``, until the first zero term; raises
+    L^k, by ``dense_bracket``, until the first zero term; raises
     NotNilpotentError when the dimensions stall above zero."""
     n = alg.dim
     whole = Subspace(n, identity(n), tuple(range(n)))
     terms = [whole]
     current = whole
     while current.dim > 0:
-        nxt = Subspace.span(n, (bracket_vec_basis(alg, vec, j)
+        nxt = Subspace.span(n, (dense_bracket(alg, vec, unit(n, j))
                                 for vec in current.basis for j in range(n)))
         if nxt.dim >= current.dim:
             raise NotNilpotentError(

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nilalg import cli, gradations, invariants
 from nilalg.cli import main, run_pipeline
 from nilalg import (
     FamilySpec,
@@ -67,6 +68,23 @@ def test_invariants_report(tmp_path, capsys):
     assert report["characteristic_sequence"] == [4, 1, 1, 1, 1]
     assert report["natural_gradation_dims"] == [3, 3, 1, 1]
     assert "algebra_sha256" in report["input"]
+
+
+def test_invariants_computes_the_series_once(tmp_path, monkeypatch, capsys):
+    # the series feeds the characteristic sequence and the natural gradation
+    calls = []
+    series = invariants.lower_central_series
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return series(alg)
+
+    for module in (cli, gradations, invariants):
+        monkeypatch.setattr(module, "lower_central_series", counting)
+    path = write_algebra(tmp_path, FamilySpec("M4", 10, 4, (), 0))
+    assert main(["invariants", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["characteristic_sequence"] == [6, 1, 1, 1, 1]
+    assert calls == [10]
 
 
 def test_invariants_abelian_nilindex(tmp_path, capsys):

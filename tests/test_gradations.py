@@ -18,9 +18,11 @@ from nilalg import (
     abelian_algebra,
     chain_algebra,
     change_of_basis,
+    check_leibniz,
     diagonal_search,
     generator_roles,
     graded_fingerprint,
+    is_p_filiform,
     lower_central_series,
     m4_1_witness,
     make,
@@ -29,6 +31,7 @@ from nilalg import (
     two_generator_search,
     verify_gradation,
 )
+from nilalg.linalg import identity
 
 from oracles import brute_diagonal_search, random_invertible, random_nilpotent_algebra
 
@@ -242,6 +245,27 @@ def test_search_m3_negative(m3_9_5):
     counts = report.search["reason_counts"]
     assert counts["degree collision"] > 0
     assert counts["disconnected"] > 0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_m3_p1_has_maximum_length_gradation_in_a_special_basis(n):
+    # In the basis u = e1 - f1, e2, ..., e_{n-1}, f1 the table is
+    # [u, f1] = e2 and [e_i, f1] = e_{i+1}, graded by f1 = 1, u = 2 and
+    # e_i = i + 1.  The adapted-basis search draws generic generators, which
+    # never give u, so thm34 reports no gradation on these algebras.
+    alg = make(FamilySpec("M3", n, 1))
+    f1 = alg.label_index("f1")
+    matrix = [list(row) for row in identity(n)]
+    matrix[0][f1] = F(-1)
+    adapted = change_of_basis(alg, matrix, ("u",) + alg.basis_labels[1:])
+    degrees = {i: i + 2 for i in range(n - 1)}
+    degrees[f1] = 1
+    report = verify_gradation(adapted, DegreeAssignment(degrees))
+    assert report.is_maximum_length
+    assert report.checks.offset == 0
+    assert report.checks.interval == (1, n)
+    assert check_leibniz(adapted).ok
+    assert is_p_filiform(adapted, 1)
 
 
 def test_search_m4_0_positive(m4_10_4_0):

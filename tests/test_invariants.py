@@ -41,6 +41,7 @@ from oracles import (
     random_partition,
     random_rational_vector,
 )
+from test_sparse_kernels import rational_tables
 
 F = Fraction
 
@@ -299,21 +300,6 @@ def test_integer_draw_is_twelve_times_rational_draw():
 def _to_integers(x):
     den = lcm(*(F(c).denominator for c in x))
     return tuple(int(c * den) for c in x)
-
-
-@st.composite
-def rational_tables(draw):
-    """A random nilpotent table with each structure constant multiplied by
-    a non-integer rational, optionally moved to a random basis."""
-    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
-    base = random_nilpotent_algebra(rng, draw(st.integers(min_value=2, max_value=7)))
-    scales = st.sampled_from((F(2, 3), F(-5, 2), F(7, 4), F(-1, 6), F(9, 5)))
-    table = {key: tuple(c * draw(scales) if c else c for c in vec)
-             for key, vec in sorted(base.brackets.items())}
-    alg = Algebra(base.dim, base.basis_labels, table)
-    if draw(st.booleans()):
-        alg = change_of_basis(alg, random_invertible(rng, alg.dim))
-    return alg
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,19 +1,20 @@
 """The sparse exact kernels agree exactly with the dense reference code.
 
-Every kernel that walks only nonzeros (the bracket routines over the
-algebra's nonzero index, the Leibniz sweep over triples that touch a table
-entry, sparse RREF rows, Subspace membership against the stored basis, the
-integer adapted-basis closure that skips old x old pairs, and its closure
-support) is compared with the dense ``Fraction`` loops in ``oracles`` on
-small random nilpotent tables, Leibniz or not, and on catalog algebras
-under a random invertible change of basis.
+Every kernel that walks only nonzeros (the bracket routines, change of
+basis and the squares ideal over the algebra's integer index, the Leibniz
+sweep over triples that touch a table entry, sparse RREF rows, Subspace
+membership against the stored basis, the integer adapted-basis closure
+that skips old x old pairs, and its closure support) is compared with the
+dense ``Fraction`` loops in ``oracles`` on small random nilpotent tables,
+Leibniz or not, on the same tables with non-integer structure constants,
+and on catalog algebras under a random invertible change of basis.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilalg import (
     Algebra,
@@ -25,9 +26,11 @@ from nilalg import (
     change_of_basis,
     check_leibniz,
     generator_roles,
+    is_lie,
     lower_central_series,
     make,
     right_mult_matrix,
+    square_ideal,
     two_generator_search,
 )
 from nilalg.core import bracket_basis, bracket_vec_basis
@@ -42,9 +45,12 @@ from nilalg.linalg import RowSpace
 from oracles import (
     dense_bracket,
     dense_closure,
+    dense_invert,
     dense_leibniz_violations,
     dense_rref,
     dense_right_mult,
+    dense_square_ideal,
+    mat_mul,
     random_invertible,
     random_nilpotent_algebra,
     rank,
@@ -69,6 +75,21 @@ def algebras(draw):
     return change_of_basis(alg, random_invertible(rng, alg.dim))
 
 
+@st.composite
+def rational_tables(draw):
+    """A random nilpotent table with each structure constant multiplied by
+    a non-integer rational, optionally moved to a random basis."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    base = random_nilpotent_algebra(rng, draw(st.integers(min_value=2, max_value=7)))
+    scales = st.sampled_from((F(2, 3), F(-5, 2), F(7, 4), F(-1, 6), F(9, 5)))
+    table = {key: tuple(c * draw(scales) if c else c for c in vec)
+             for key, vec in sorted(base.brackets.items())}
+    alg = Algebra(base.dim, base.basis_labels, table)
+    if draw(st.booleans()):
+        alg = change_of_basis(alg, random_invertible(rng, alg.dim))
+    return alg
+
+
 def vectors(n):
     return st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                     min_size=n, max_size=n).map(tuple)
@@ -84,6 +105,33 @@ def test_brackets_match_dense(alg, data):
     for i in range(n):
         assert bracket_basis(alg, i, y) == dense_bracket(alg, unit(n, i), y)
         assert bracket_vec_basis(alg, x, i) == dense_bracket(alg, x, unit(n, i))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_tables(), st.data())
+def test_change_of_basis_matches_dense(alg, data):
+    # D > 1 and a rational matrix: the table is [b_i, b_j] * m^-1 from the
+    # dense bracket and inverse, entered in the same (i, j) order
+    n = alg.dim
+    m = data.draw(st.lists(vectors(n), min_size=n, max_size=n).map(tuple)
+                  .filter(lambda m: dense_invert(m) is not None))
+    minv = dense_invert(m)
+    expected = {}
+    for i in range(n):
+        for j in range(n):
+            prod = dense_bracket(alg, m[i], m[j])
+            if any(prod):
+                expected[(i, j)] = mat_mul((prod,), minv)[0]
+    moved = change_of_basis(alg, m)
+    assert list(moved.brackets.items()) == list(expected.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_tables())
+def test_square_ideal_matches_dense_closure(alg):
+    assume(not is_lie(alg))
+    ideal = square_ideal(alg)
+    assert (ideal.basis, ideal.pivots) == dense_square_ideal(alg)
 
 
 @settings(max_examples=20, deadline=None)
