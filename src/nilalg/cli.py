@@ -74,8 +74,7 @@ def _algebra_hash(alg: Algebra) -> str:
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     else:
         print(text)
 
@@ -86,6 +85,14 @@ def _read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -113,8 +120,7 @@ def cmd_catalog(args) -> int:
     alg = make(spec)
     text = algebra_to_json(alg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n")
     else:
         print(text)
     if args.witness_out:
@@ -122,9 +128,8 @@ def cmd_catalog(args) -> int:
         if witness is None:
             raise InvalidInputError(
                 f"{spec.name()} has no known maximum-length witness")
-        with open(args.witness_out, "w") as fh:
-            json.dump(witness.to_dict(alg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.witness_out,
+                    json.dumps(witness.to_dict(alg), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -152,9 +157,9 @@ def cmd_invariants(args) -> int:
     report["series_dims"] = list(series.dims)
     report["nilindex"] = len(series.dims) - 1
     report["characteristic_sequence"] = list(
-        characteristic_sequence(alg, seed=seed, series=series).seq)
+        characteristic_sequence(alg, seed=seed).seq)
     report["natural_gradation_dims"] = list(
-        natural_gradation(alg, series).component_dims)
+        natural_gradation(alg).component_dims)
     _emit(report, args.out)
     return 0
 
@@ -212,9 +217,7 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
             record["leibniz_violation"] = {
                 "triple": [alg.basis_labels[t] for t in v.triple],
                 "defect": alg.format_vector(v.defect)}
-        series = lower_central_series(alg)
-        record["p_filiform"] = is_p_filiform(alg, spec.p, seed=seed,
-                                             series=series)
+        record["p_filiform"] = is_p_filiform(alg, spec.p, seed=seed)
         witness = known_witness(spec)
         if witness is not None:
             result = verify_gradation(alg, witness)
@@ -222,8 +225,7 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
             record["witness"] = witness.to_dict(alg)
         else:
             result = two_generator_search(alg, seed=seed,
-                                          roles=generator_roles(spec),
-                                          series=series)
+                                          roles=generator_roles(spec))
             record["witness_source"] = "search"
         record["gradation"] = result.to_dict(alg if witness is not None else None)
         record["verdict"] = result.verdict

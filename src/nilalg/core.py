@@ -22,11 +22,12 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotNilpotentError
 from .linalg import (
     RowSpace,
     Vector,
     ZERO,
+    identity,
     invert,
     is_zero_vector,
     row_times_mat,
@@ -122,16 +123,32 @@ class Subspace:
 
 
 @dataclass(frozen=True)
+class CentralSeries:
+    """Terms of the descending central series, terms[0] = whole algebra."""
+
+    terms: tuple[Subspace, ...]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(t.dim for t in self.terms)
+
+    @property
+    def derived_subalgebra(self) -> Subspace:
+        """L^2 = [L, L]."""
+        return self.terms[1]
+
+
+@dataclass(frozen=True)
 class Algebra:
     """Finite-dimensional algebra over Q given by a sparse bracket table.
 
-    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  Every
-    bracket routine reads ``integer_index``, built on first use: D, the
-    least common denominator of the structure constants, and the table
-    scaled by D, with i mapped to [(j, ((k, D*c), ...))] listing only the
-    nonzero coefficients c of e_k in [e_i, e_j].  ``_triples`` lists every
-    (i, j, k) with such a coefficient, for degree checks that need only the
-    support.
+    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  Two derived
+    facts are built on first use and kept: ``integer_index``, which every
+    bracket routine reads (D, the least common denominator of the structure
+    constants, and the table scaled by D, with i mapped to
+    [(j, ((k, D*c), ...))] listing only the nonzero coefficients c of e_k in
+    [e_i, e_j]), and ``central_series``.  ``_triples`` lists every (i, j, k)
+    with such a coefficient, for degree checks that need only the support.
     """
 
     dim: int
@@ -174,6 +191,47 @@ class Algebra:
             if terms:
                 index.setdefault(i, []).append((j, terms))
         return den, index
+
+    @cached_property
+    def central_series(self) -> CentralSeries:
+        """L^1 = L, L^{k+1} = [L^k, L], up to the first zero term.
+
+        Raises NotNilpotentError, on every access, when the dimensions stop
+        strictly decreasing before reaching zero.
+
+        The series runs on Python integers: L^{k+1} is spanned by [v, e_j]
+        over integer rows v spanning L^k, read from ``integer_index`` (the
+        table scaled by D changes no span) by right factor.  The rows that
+        enlarge one ``RowSpace`` form a basis of L^{k+1} and feed the next
+        step, and the term's ``Subspace`` is that same ``RowSpace``'s
+        canonical reduced basis, so each term is eliminated once and equals
+        the span of its ``Fraction`` brackets.
+        """
+        n = self.dim
+        _, index = self.integer_index
+        # The index read by right factor: right[j][t] lists [e_t, e_j], so
+        # [v, e_j] = right_image(right[j], v).  A right factor e_j that
+        # annihilates everything gets no entry.
+        right: dict[int, list] = {}
+        for t, row in index.items():
+            for j, entries in row:
+                right.setdefault(j, [()] * n)[t] = entries
+        terms = [Subspace(n, identity(n), tuple(range(n)))]
+        basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        while basis:  # basis: integer rows spanning the last term
+            space = RowSpace(n)
+            image = []
+            for v in basis:
+                for cols in right.values():
+                    w = right_image(cols, v)
+                    if space.add(w):
+                        image.append(w)
+            if len(image) >= len(basis):
+                raise NotNilpotentError(
+                    f"descending central sequence stalls at dimension {len(basis)}")
+            terms.append(Subspace(n, space.rows(), space.pivots))
+            basis = image
+        return CentralSeries(tuple(terms))
 
     # -- construction helpers -------------------------------------------
 

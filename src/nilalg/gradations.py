@@ -196,7 +196,9 @@ def _closure_offset(triples, degs: list[int]) -> tuple[bool, int | None]:
 
 
 def _degree_reason(n: int, degs: list[int]) -> str | None:
-    """Fast-path reason from the degree multiset alone (closure not examined)."""
+    """The reason n degrees fail to be distinct and fill an interval, from
+    the degree multiset alone (closure not examined), or None.  Shared by
+    ``verify_gradation`` and the adapted-basis search."""
     seen = set(degs)
     if len(seen) != n:
         return REASON_COLLISION
@@ -222,14 +224,9 @@ def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
     checks = GradationChecks(closure, nonempty, dim_one, distinct, connected,
                              (lo, hi), offset)
     # distinct and connected already give an interval of size n
-    if closure and distinct and connected:
+    reason = _degree_reason(n, degs) or (None if closure else REASON_CLOSURE)
+    if reason is None:
         return GradationReport(MAXIMUM_LENGTH, witness=d, checks=checks)
-    if not distinct:
-        reason = REASON_COLLISION
-    elif not connected:
-        reason = REASON_DISCONNECTED
-    else:
-        reason = REASON_CLOSURE
     return GradationReport(NOT_MAXIMUM_LENGTH, witness=d, reason=reason,
                            checks=checks)
 
@@ -254,11 +251,11 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
     L^i / L^{i+1} are the echelon rows of L^i whose pivot column does not
     survive into L^{i+1} (lexicographically earliest pivots).  Brackets of
     representatives are projected onto the component of the summed degree.
+    The series is always ``lower_central_series(alg)``: ``series`` is
+    ignored and remains only for callers that pass it positionally.
     """
     n = alg.dim
-    if series is None:
-        series = lower_central_series(alg)
-    terms = series.terms
+    terms = lower_central_series(alg).terms
     reps: list[Vector] = []
     degrees: list[int] = []
     labels: list[str] = []
@@ -303,11 +300,10 @@ class Fingerprint:
 
 def graded_fingerprint(alg: Algebra, samples: int = 25,
                        seed: int = DEFAULT_SEED) -> Fingerprint:
-    series = lower_central_series(alg)
-    nat = natural_gradation(alg, series)
     cs = characteristic_sequence(alg, samples=samples, seed=seed)
-    return Fingerprint(alg.dim, series.dims, cs.seq, is_lie(alg),
-                       nat.component_dims, square_ideal(alg).dim)
+    return Fingerprint(alg.dim, lower_central_series(alg).dims, cs.seq,
+                       is_lie(alg), natural_gradation(alg).component_dims,
+                       square_ideal(alg).dim)
 
 
 # -- explicit witness for M4(1) ----------------------------------------------
@@ -484,7 +480,7 @@ class AdaptedBasisSample:
         if self.support is None:
             n = alg.dim
             _, index = alg.integer_index
-            inverse = sparse_rows(integer_inverse(self.rows))
+            inverse = sparse_rows(integer_inverse(self.rows)[1])
             columns = [sparse_rows(right_columns(index, n, x)) for x in self.rows]
             triples = []
             for i, u in enumerate(self.rows):
@@ -600,8 +596,7 @@ def _adapted_labels(alg: Algebra, matrix) -> tuple[str, ...]:
 
 def two_generator_search(alg: Algebra, samples: int = 3,
                          seed: int = DEFAULT_SEED,
-                         roles: GeneratorRoles | None = None,
-                         series: CentralSeries | None = None) -> GradationReport:
+                         roles: GeneratorRoles | None = None) -> GradationReport:
     """Adapted-basis maximum-length search following the extension scheme.
 
     The chain driver is normalized to degree k_s = 1 (the k_s = -1 case is
@@ -616,16 +611,13 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     (see ``AdaptedBasisSample``).  Only the sample that closes gets its
     rational adapted algebra, and the witness is reported only if
     ``verify_gradation`` confirms it there; ``checks`` come from that
-    verification.  ``series``, when given, must be
-    ``lower_central_series(alg)``; it is computed otherwise.
+    verification.
     """
     n = alg.dim
     kt_window = 2 * n
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
-    if series is None:
-        series = lower_central_series(alg)
-    l2 = series.derived_subalgebra
+    l2 = lower_central_series(alg).derived_subalgebra
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
     gen_indices = tuple(i for i in range(n) if i not in set(l2.pivots))

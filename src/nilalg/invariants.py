@@ -20,32 +20,16 @@ from operator import mul
 
 from .core import (
     Algebra,
-    Subspace,
+    CentralSeries,
     right_columns,
     right_image,
     sparse_rows,
 )
 from .errors import InvalidInputError, NotNilpotentError
-from .linalg import RowSpace, Vector, identity, mat_vec, unit_vector
+from .linalg import RowSpace, Vector, mat_vec, unit_vector
 
 DEFAULT_SEED = 20260
 DEFAULT_SAMPLES = 25
-
-
-@dataclass(frozen=True)
-class CentralSeries:
-    """Terms of the descending central series, terms[0] = whole algebra."""
-
-    terms: tuple[Subspace, ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(t.dim for t in self.terms)
-
-    @property
-    def derived_subalgebra(self) -> Subspace:
-        """L^2 = [L, L]."""
-        return self.terms[1]
 
 
 @dataclass(frozen=True)
@@ -59,51 +43,18 @@ class CharacteristicSequence:
 
 
 def lower_central_series(alg: Algebra) -> CentralSeries:
-    """Compute L^k until the first zero term.
+    """Compute L^k until the first zero term: ``alg.central_series``, built
+    on the first call for that algebra.
 
     Raises NotNilpotentError when the dimensions stop strictly decreasing
     before reaching zero.
-
-    The series runs on Python integers: L^{k+1} is spanned by [v, e_j]
-    over integer rows v spanning L^k, read from the algebra's
-    ``integer_index`` (the table scaled by its common denominator D, which
-    changes no span) by right factor.  The rows that enlarge one
-    ``RowSpace`` form a basis of L^{k+1} and feed the next step, and the
-    term's ``Subspace`` is that same ``RowSpace``'s canonical reduced
-    basis, so each term is eliminated once and equals the span of its
-    ``Fraction`` brackets.
     """
-    n = alg.dim
-    _, index = alg.integer_index
-    # The index read by right factor: right[j][t] lists [e_t, e_j], so
-    # [v, e_j] = right_image(right[j], v).  A right factor e_j that
-    # annihilates everything gets no entry.
-    right: dict[int, list] = {}
-    for t, row in index.items():
-        for j, entries in row:
-            right.setdefault(j, [()] * n)[t] = entries
-    terms = [Subspace(n, identity(n), tuple(range(n)))]
-    basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    while basis:  # basis: integer rows spanning the last term
-        space = RowSpace(n)
-        image = []
-        for v in basis:
-            for cols in right.values():
-                w = right_image(cols, v)
-                if space.add(w):
-                    image.append(w)
-        if len(image) >= len(basis):
-            raise NotNilpotentError(
-                f"descending central sequence stalls at dimension {len(basis)}")
-        terms.append(Subspace(n, space.rows(), space.pivots))
-        basis = image
-    return CentralSeries(tuple(terms))
+    return alg.central_series
 
 
 def nilindex(alg: Algebra) -> int:
     """The s with L^s != 0 and L^{s+1} = 0."""
-    series = lower_central_series(alg)
-    return len(series.terms) - 1
+    return len(lower_central_series(alg).terms) - 1
 
 
 def right_mult_matrix(alg: Algebra, x) -> tuple[Vector, ...]:
@@ -159,12 +110,9 @@ def nilpotent_block_profile(m) -> tuple[int, ...]:
     return _profile_from_ranks(ranks)
 
 
-def char_seq_at(alg: Algebra, x, series: CentralSeries | None = None
-                ) -> CharacteristicSequence:
+def char_seq_at(alg: Algebra, x) -> CharacteristicSequence:
     """C(x): Jordan profile of R_x for x outside L^2."""
-    if series is None:
-        series = lower_central_series(alg)
-    if series.derived_subalgebra.contains(x):
+    if lower_central_series(alg).derived_subalgebra.contains(x):
         raise InvalidInputError("x lies in L^2; C(x) requires x outside L^2")
     try:
         profile = nilpotent_block_profile(right_mult_matrix(alg, x))
@@ -208,9 +156,7 @@ def _random_integer_vector(rng: random.Random, n: int) -> tuple[int, ...]:
 
 
 def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
-                            seed: int = DEFAULT_SEED,
-                            series: CentralSeries | None = None
-                            ) -> CharacteristicSequence:
+                            seed: int = DEFAULT_SEED) -> CharacteristicSequence:
     """Lexicographic maximum of C(x) over a finite test set.
 
     The test set holds every basis vector outside L^2, every pairwise sum
@@ -232,8 +178,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     from ``RowSpace``, which eliminates fraction-free on integers, so no
     ``Fraction`` enters the loop.  ``char_seq_at`` and
     ``nilpotent_block_profile`` remain the ``Fraction`` reference for a
-    single vector.  ``series``, when given, must be
-    ``lower_central_series(alg)``; it is computed otherwise.
+    single vector.
 
     Candidates are visited in that order and each is dropped as soon as it
     cannot beat the best sequence so far.  This is exact: R_x^k(L) lies in
@@ -250,11 +195,10 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
-    if series is None:
-        series = lower_central_series(alg)
-    if series.derived_subalgebra.dim == n:
+    l2 = lower_central_series(alg).derived_subalgebra
+    if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
-    forms = RowSpace(n, series.derived_subalgebra.basis).vanishing_forms()
+    forms = RowSpace(n, l2.basis).vanishing_forms()
 
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     # a form's value on e_i is its i-th coefficient
@@ -323,14 +267,9 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None,
 
 
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,
-                  seed: int = DEFAULT_SEED,
-                  series: CentralSeries | None = None) -> bool:
-    """True iff C(L) = (n-p, 1, ..., 1) with exactly p trailing ones.
-
-    ``series`` is passed on to ``characteristic_sequence``.
-    """
+                  seed: int = DEFAULT_SEED) -> bool:
+    """True iff C(L) = (n-p, 1, ..., 1) with exactly p trailing ones."""
     if p < 0 or p >= alg.dim:
         raise InvalidInputError(f"need 0 <= p < dim, got p={p}, dim={alg.dim}")
     expected = (alg.dim - p,) + (1,) * p
-    return characteristic_sequence(alg, samples=samples, seed=seed,
-                                   series=series).seq == expected
+    return characteristic_sequence(alg, samples=samples, seed=seed).seq == expected

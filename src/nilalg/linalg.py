@@ -188,40 +188,30 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def _inverse_rows(m: Sequence[Sequence[Fraction]]
-                  ) -> list[tuple[int, list[int]]] | None:
-    """The back-substituted integer rows of [m | I] (see
-    ``RowSpace._back_substituted``), or None if m is singular (a pivot
-    falls in the right half).  Row p's right half is row[p] times row p of
-    the inverse."""
+def integer_inverse(m: Sequence[Sequence[Fraction]]
+                    ) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """(d, d * m^-1) for one positive integer d, or None if m is singular.
+
+    [m | I] is eliminated fraction-free; m is singular iff a pivot falls in
+    the right half.  Row p of the back-substituted rows (see
+    ``RowSpace._back_substituted``) holds row[p] times row p of the inverse
+    in its right half, which is brought to the lcm d of the pivot entries.
+    """
     n = len(m)
     space = RowSpace(2 * n, (tuple(m[i]) + tuple(int(j == i) for j in range(n))
                              for i in range(n)))
     if space.pivots != tuple(range(n)):
         return None
-    return space._back_substituted()
+    reduced = space._back_substituted()
+    d = lcm(*(row[p] for p, row in reduced))
+    return d, tuple(tuple(c * (d // row[p]) for c in row[n:]) for p, row in reduced)
 
 
 def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
-    """Exact inverse: the right half of the reduced echelon form of
-    [m | I], or None if m is singular."""
-    reduced = _inverse_rows(m)
-    if reduced is None:
+    """Exact inverse, ``integer_inverse`` divided by its d, or None if m is
+    singular."""
+    scaled = integer_inverse(m)
+    if scaled is None:
         return None
-    n = len(m)
-    return tuple(tuple(Fraction(c, row[p]) if c else ZERO for c in row[n:])
-                 for p, row in reduced)
-
-
-def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...] | None:
-    """d * m^-1 for one nonzero integer d, or None if m is singular.
-
-    The elimination of ``invert``; each row's right half is brought to the
-    common multiple d of the pivot entries instead of divided by its own.
-    """
-    reduced = _inverse_rows(m)
-    if reduced is None:
-        return None
-    n = len(m)
-    d = lcm(*(row[p] for p, row in reduced))
-    return tuple(tuple(c * (d // row[p]) for c in row[n:]) for p, row in reduced)
+    d, rows = scaled
+    return tuple(tuple(Fraction(c, d) if c else ZERO for c in row) for row in rows)

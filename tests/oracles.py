@@ -322,7 +322,7 @@ def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMP
         drawn += 1
     best = None
     for vec in candidates:
-        seq = char_seq_at(alg, vec, series)
+        seq = char_seq_at(alg, vec)
         if best is None or best < seq:
             best = seq
     return best

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from nilalg import cli, gradations, invariants
 from nilalg.cli import main, run_pipeline
 from nilalg import (
+    Algebra,
     FamilySpec,
     algebra_to_json,
     change_of_basis,
@@ -70,21 +70,60 @@ def test_invariants_report(tmp_path, capsys):
     assert "algebra_sha256" in report["input"]
 
 
-def test_invariants_computes_the_series_once(tmp_path, monkeypatch, capsys):
-    # the series feeds the characteristic sequence and the natural gradation
-    calls = []
-    series = invariants.lower_central_series
+@pytest.fixture
+def series_runs(monkeypatch):
+    """The dims of every algebra whose central series is computed, one entry
+    per run of the body of ``Algebra.central_series``."""
+    runs = []
+    prop = Algebra.__dict__["central_series"]
+    body = prop.func
 
     def counting(alg):
-        calls.append(alg.dim)
-        return series(alg)
+        runs.append(alg.dim)
+        return body(alg)
 
-    for module in (cli, gradations, invariants):
-        monkeypatch.setattr(module, "lower_central_series", counting)
+    monkeypatch.setattr(prop, "func", counting)
+    return runs
+
+
+def test_invariants_computes_the_series_once(tmp_path, capsys, series_runs):
+    # the series feeds the report, the characteristic sequence and the
+    # natural gradation
     path = write_algebra(tmp_path, FamilySpec("M4", 10, 4, (), 0))
     assert main(["invariants", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["characteristic_sequence"] == [6, 1, 1, 1, 1]
-    assert calls == [10]
+    assert series_runs == [10]
+
+
+def test_pipeline_computes_the_series_once(series_runs):
+    # the series feeds the p-filiform test and the adapted-basis search
+    code, report = run_pipeline("thm34", grid=[FamilySpec("M3", 5, 1)])
+    assert code == 0
+    assert report["instances"][0]["witness_source"] == "search"
+    assert series_runs == [5]
+
+
+M4_8_4_1 = ["catalog", "make", "--family", "M4", "--n", "8", "--p", "4",
+            "--alpha", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    M4_8_4_1 + ["-o", "{missing}"],
+    M4_8_4_1 + ["-o", "{tmp}/alg2.json", "--witness-out", "{missing}"],
+    ["invariants", "{alg}", "-o", "{missing}"],
+    ["grade", "diagonal", "{alg}", "-o", "{missing}"],
+    ["reproduce", "--theorem", "thm33", "-o", "{missing}"],
+])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
+    # an output path inside a missing directory is an input error, not a
+    # traceback and not the exit 1 of a negative verdict
+    alg = write_algebra(tmp_path, FamilySpec("M3", 5, 1))
+    missing = tmp_path / "missing" / "out.json"
+    assert main([a.format(tmp=tmp_path, alg=alg, missing=missing)
+                 for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}")
+    assert "Traceback" not in err
 
 
 def test_invariants_abelian_nilindex(tmp_path, capsys):
