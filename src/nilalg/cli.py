@@ -198,6 +198,8 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
     if theorem not in THEOREM_PIPELINES:
         raise InvalidInputError(
             f"unknown theorem {theorem!r}; known: {', '.join(THEOREM_PIPELINES)}")
+    if grid is not None and not grid:
+        raise InvalidInputError("grid is empty: no instance to check")
     default_grid, expected = THEOREM_PIPELINES[theorem]
     instances = grid if grid is not None else default_grid
     report = _tool_header(seed)

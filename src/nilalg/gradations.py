@@ -54,6 +54,7 @@ from .core import (
 )
 from .errors import DegenerateSampleError, InvalidInputError
 from .invariants import (
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     CentralSeries,
     characteristic_sequence,
@@ -298,7 +299,7 @@ class Fingerprint:
                 "square_ideal_dim": self.square_ideal_dim}
 
 
-def graded_fingerprint(alg: Algebra, samples: int = 25,
+def graded_fingerprint(alg: Algebra, samples: int = DEFAULT_SAMPLES,
                        seed: int = DEFAULT_SEED) -> Fingerprint:
     cs = characteristic_sequence(alg, samples=samples, seed=seed)
     return Fingerprint(alg.dim, lower_central_series(alg).dims, cs.seq,

@@ -191,7 +191,18 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     lexicographic maximum that computing C(x) on every candidate gives.
     The bound depends only on the ranks seen so far, so one sweep computes
     it once per rank prefix.
+
+    The sweep stops at a ceiling no x can beat.  A nilpotent R_x of rank r
+    has n - r Jordan blocks, so C(x) is at most the hook (r + 1, 1, ..., 1),
+    which grows with r; and R_x maps U = {y : [y, L] lies in L^3} into L^3,
+    so r <= r_bar = codim U + dim L^3 for every x (``_rank_ceiling``).
+    Once the best equals the hook of r_bar + 1 no later candidate can
+    change the maximum, so the candidates after it, random draws included,
+    are never built.  The M3/M4/M5 families reach it; on the Lie families
+    r_bar exceeds the generic rank and the sweep runs in full.
     """
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise InvalidInputError(f"samples must be an integer, got {samples!r}")
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
@@ -199,29 +210,59 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
     forms = RowSpace(n, l2.basis).vanishing_forms()
+    _, index = alg.integer_index
+    bounds: dict[tuple[int, ...], tuple[int, ...]] = {}
+    best = ceiling = None
+    for x in _candidates(n, forms, samples, seed):
+        seq = _pruned_char_seq(index, n, x, best, bounds)
+        if seq is not None:
+            best = seq
+            if ceiling is None:
+                r_bar = _rank_ceiling(alg)
+                ceiling = (r_bar + 1,) + (1,) * (n - r_bar - 1)
+            if best.seq == ceiling:
+                break
+    return best
 
+
+def _candidates(n: int, forms, samples: int, seed: int):
+    """The sweep's test set, outside the common kernel L^2 of ``forms``,
+    built lazily in order: basis vectors, pairwise sums, seeded draws."""
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     # a form's value on e_i is its i-th coefficient
     outside = [i for i in range(n) if any(form[i] for form in forms)]
-    candidates = [units[i] for i in outside]
+    for i in outside:
+        yield units[i]
     for i, j in combinations(outside, 2):
         if any(form[i] + form[j] for form in forms):
-            candidates.append(tuple(x + y for x, y in zip(units[i], units[j])))
+            yield tuple(x + y for x, y in zip(units[i], units[j]))
     rng = random.Random(seed)
     drawn = 0
     while drawn < samples:
         vec = _random_integer_vector(rng, n)
         if any(sum(map(mul, form, vec)) for form in forms):
-            candidates.append(vec)
+            yield vec
             drawn += 1
+
+
+def _rank_ceiling(alg: Algebra) -> int:
+    """r_bar = codim U + dim L^3 >= rank R_x for every x, since R_x maps
+    U = {y : [y, L] lies in L^3} into L^3.  codim U is the rank of the rows
+    y -> phi([y, e_t]) over every t and every integer form phi vanishing on
+    L^3 (0 when the series stops before it).  U contains L^2, so r_bar < n
+    on a nilpotent algebra with L^2 != 0, and r_bar = 0 when L^2 = 0."""
+    n = alg.dim
+    terms = lower_central_series(alg).terms
+    forms = RowSpace(n, terms[2].basis if len(terms) > 2 else ()).vanishing_forms()
     _, index = alg.integer_index
-    bounds: dict[tuple[int, ...], tuple[int, ...]] = {}
-    best = None
-    for x in candidates:
-        seq = _pruned_char_seq(index, n, x, best, bounds)
-        if seq is not None:
-            best = seq
-    return best
+    rows: dict[tuple[int, int], list[int]] = {}
+    for i, entries in index.items():
+        for t, image in entries:  # image: the terms of D [e_i, e_t]
+            for f, form in enumerate(forms):
+                value = sum(form[k] * c for k, c in image)
+                if value:
+                    rows.setdefault((t, f), [0] * n)[i] = value
+    return RowSpace(n, rows.values()).dim + n - len(forms)
 
 
 def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None,
@@ -269,6 +310,8 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None,
 def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,
                   seed: int = DEFAULT_SEED) -> bool:
     """True iff C(L) = (n-p, 1, ..., 1) with exactly p trailing ones."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise InvalidInputError(f"p must be an integer, got {p!r}")
     if p < 0 or p >= alg.dim:
         raise InvalidInputError(f"need 0 <= p < dim, got p={p}, dim={alg.dim}")
     expected = (alg.dim - p,) + (1,) * p

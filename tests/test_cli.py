@@ -362,6 +362,16 @@ def test_reproduce_construction_error_exit_2(tmp_path):
     assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
 
 
+def test_reproduce_empty_grid_exit_2(tmp_path, capsys):
+    # zero instances would otherwise read as "all_match": true, exit 0
+    grid = tmp_path / "grid.json"
+    grid.write_text("[]")
+    assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid is empty: no instance to check\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 BOOL_SPECS = (
     {"family": "M4", "n": 8, "p": 4, "alpha": True},
     {"family": "M4", "n": 8, "p": 4, "alpha": False},

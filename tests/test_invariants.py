@@ -28,7 +28,7 @@ from nilalg import (
 )
 from nilalg import invariants
 from nilalg.catalog import FAMILIES
-from nilalg.linalg import zero_vector
+from nilalg.linalg import unit_vector, zero_vector
 
 from oracles import (
     conjugated_nilpotent,
@@ -40,6 +40,7 @@ from oracles import (
     random_nilpotent_algebra,
     random_partition,
     random_rational_vector,
+    rank,
 )
 from test_sparse_kernels import rational_tables
 
@@ -271,7 +272,8 @@ def test_characteristic_sequence_matches_exhaustive_on_seeded_tables():
 def test_characteristic_sequence_prunes_candidates(monkeypatch):
     # Every candidate's first rank step reads its columns [e_j, x] directly;
     # the steps after it go through ``right_image`` with those columns.
-    # The exhaustive sweep takes all 31 candidates of M4(8,4,1) past step one.
+    # The exhaustive sweep takes all 31 candidates of M4(8,4,1) past step
+    # one; here the first, e1, attains the rank ceiling and ends the sweep.
     # The series brackets through ``core.right_image``, which the patch of
     # the ``invariants`` binding does not see.
     alg = make(FamilySpec("M4", 8, 4, (), 1))
@@ -285,7 +287,97 @@ def test_characteristic_sequence_prunes_candidates(monkeypatch):
 
     monkeypatch.setattr(invariants, "right_image", counting)
     assert characteristic_sequence(alg).seq == (4, 1, 1, 1, 1)
-    assert 0 < len(reached) < 31
+    assert len(reached) == 1
+
+
+NO_DRAW_SPECS = (FamilySpec("M3", 5, 1), FamilySpec("M3", 6, 1),
+                 FamilySpec("M4", 8, 4, (), 0), FamilySpec("M4", 8, 4, (), 1),
+                 FamilySpec("M5", 8, 4), FamilySpec("M4", 12, 6, (), 1))
+LIE_SPEC = FamilySpec("L", 12, 4, (3, 5, 7))
+
+
+def _hook(n, r):
+    return (r + 1,) + (1,) * (n - r - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(char_seq_cases())
+def test_rank_ceiling_bounds_every_rank(case):
+    # r_bar bounds rank R_x for basis vectors and seeded integer vectors x,
+    # so no candidate's C(x) exceeds the hook of r_bar + 1
+    alg, samples, seed = case
+    n = alg.dim
+    r_bar = invariants._rank_ceiling(alg)
+    assert 0 <= r_bar < n
+    rng = random.Random(seed)
+    xs = [unit_vector(n, i) for i in range(n)]
+    xs += [invariants._random_integer_vector(rng, n) for _ in range(8)]
+    for x in xs:
+        assert rank(right_mult_matrix(alg, tuple(F(c) for c in x)), n) <= r_bar
+    assert (characteristic_sequence(alg, samples=samples, seed=seed).seq
+            <= _hook(n, r_bar))
+
+
+def test_rank_ceiling_is_basis_independent():
+    # U = {y : [y, L] in L^3} and L^3 are intrinsic, so r_bar is too
+    rng = random.Random(14)
+    algs = [make(spec) for spec in NO_DRAW_SPECS + (LIE_SPEC,)]
+    algs += [random_nilpotent_algebra(rng, 4 + seed % 5) for seed in range(20)]
+    for alg in algs:
+        r_bar = invariants._rank_ceiling(alg)
+        for _ in range(2):
+            moved = change_of_basis(alg, random_invertible(rng, alg.dim))
+            assert invariants._rank_ceiling(moved) == r_bar
+
+
+def _counting_draws(monkeypatch):
+    draws = []
+    draw = invariants._random_integer_vector
+
+    def counting(rng, n):
+        draws.append(n)
+        return draw(rng, n)
+
+    monkeypatch.setattr(invariants, "_random_integer_vector", counting)
+    return draws
+
+
+@pytest.mark.parametrize("spec", NO_DRAW_SPECS, ids=FamilySpec.name)
+def test_sweep_stops_at_ceiling_without_draws(monkeypatch, spec):
+    # the theorems specs and M4(12,6,1): C(L) is the hook of r_bar + 1, and
+    # a unit vector attains it, so no random vector is drawn
+    alg = make(spec)
+    draws = _counting_draws(monkeypatch)
+    seq = characteristic_sequence(alg).seq
+    assert draws == []
+    assert seq == _hook(alg.dim, invariants._rank_ceiling(alg))
+    assert seq == (alg.dim - spec.p,) + (1,) * spec.p
+
+
+def test_sweep_runs_in_full_below_ceiling(monkeypatch):
+    # on the Lie family r_bar = 11 exceeds the generic rank 7, so the sweep
+    # never stops early: all 25 draws are made and the result is unchanged
+    alg = make(LIE_SPEC)
+    assert invariants._rank_ceiling(alg) == 11
+    draws = _counting_draws(monkeypatch)
+    seq = characteristic_sequence(alg)
+    assert len(draws) == invariants.DEFAULT_SAMPLES  # none lands in L^2
+    assert seq == exhaustive_characteristic_sequence(alg)
+    assert seq.seq == (8, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("samples", (2.5, True, "3", None))
+def test_characteristic_sequence_rejects_non_int_samples(m1_8_4, samples):
+    with pytest.raises(InvalidInputError, match="samples must be an integer"):
+        characteristic_sequence(m1_8_4, samples=samples)
+    with pytest.raises(InvalidInputError, match="samples must be an integer"):
+        is_p_filiform(m1_8_4, 4, samples=samples)
+
+
+@pytest.mark.parametrize("p", (4.0, True, "4"))
+def test_is_p_filiform_rejects_non_int_p(m1_8_4, p):
+    with pytest.raises(InvalidInputError, match="p must be an integer"):
+        is_p_filiform(m1_8_4, p)
 
 
 def test_integer_draw_is_twelve_times_rational_draw():
