@@ -21,9 +21,12 @@ gradation was found under that scheme; it is not a formal non-existence
 certificate (``SCHEME_NOTE``).
 
 The adapted-basis search runs on Python ints: generators are drawn as
-integers, closed on the table scaled by its common denominator, and each
-sample's closure support is read from the integer rows.  Scaling vectors
-by nonzero rationals changes no span and no support, so every verdict and
+integers and closed on the table scaled by its common denominator.  Under
+distinct degrees each adapted vector spans its own component, so a sample
+can close only if every nonzero bracket of two adapted vectors is a
+multiple of a single third; its closure support is read from the integer
+rows by that proportionality, with no inverse.  Scaling vectors by nonzero
+rationals changes no span and no proportionality, so every verdict and
 reason is that of a ``Fraction`` search.  The ``Fraction`` algebra in the
 adapted basis is built only for the sample that closes, and its witness is
 reported only once ``verify_gradation`` confirms it there.
@@ -61,7 +64,7 @@ from .invariants import (
     draw_scaled_rationals,
     lower_central_series,
 )
-from .linalg import RowSpace, Vector, ZERO, integer_inverse, is_zero_vector
+from .linalg import RowSpace, Vector, ZERO, is_zero_vector
 
 MAXIMUM_LENGTH = "maximum_length"
 NOT_MAXIMUM_LENGTH = "not_maximum_length"
@@ -364,9 +367,11 @@ def diagonal_search(alg: Algebra) -> GradationReport:
     indices 0, 1, ... depth first.  Each literal-closure check
     deg(e_k) = deg(e_i) + deg(e_j), one per nonzero coefficient of
     [e_i, e_j] on e_k, is tested as soon as index max(i, j, k) is assigned,
-    and a failing prefix skips its whole subtree.  ``assignments_tried`` is
-    therefore the position in lexicographic order (a pruned subtree counts
-    all of its leaves), not a count of the work done.
+    and a failing prefix skips its whole subtree.  A check naming index d
+    once (k = d gives d_i + d_j, i or j = d gives d_k minus the other) fixes
+    degs[d], so only that value is visited.  ``assignments_tried`` is
+    therefore the position in lexicographic order (a pruned subtree or a
+    skipped value counts all of its leaves), not a count of the work done.
     """
     n = alg.dim
     if n > 8:
@@ -375,24 +380,34 @@ def diagonal_search(alg: Algebra) -> GradationReport:
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, j, k in alg._triples:
         checks[max(i, j, k)].append((i, j, k))
+    # a check naming index d once fixes degs[d] from the degrees before it
+    forcing = [next((t for t in ts if t.count(d) == 1), None)
+               for d, ts in enumerate(checks)]
     leaves_below = [factorial(n - d - 1) for d in range(n)]
     degs = [0] * n
     tried = 0
-    closure_failures = 0
 
     def closed_leaves(d: int, free: list[int]):
         """Yield once per closed completion of degs[:d], in lexicographic order."""
-        nonlocal tried, closure_failures
-        for pos, value in enumerate(free):
-            degs[d] = value
+        nonlocal tried
+        lo, hi = 0, len(free)
+        if forcing[d] is not None:  # the values around it fail closure
+            i, j, k = forcing[d]
+            forced = (degs[i] + degs[j] if k == d
+                      else degs[k] - degs[j if i == d else i])
+            lo = free.index(forced) if forced in free else hi
+            hi = min(lo + 1, hi)
+        tried += lo * leaves_below[d]
+        for pos in range(lo, hi):
+            degs[d] = free[pos]
             if any(degs[i] + degs[j] != degs[k] for i, j, k in checks[d]):
                 tried += leaves_below[d]
-                closure_failures += leaves_below[d]
             elif d == n - 1:
                 tried += 1
                 yield
             else:
                 yield from closed_leaves(d + 1, free[:pos] + free[pos + 1:])
+        tried += (len(free) - hi) * leaves_below[d]
 
     # A closed leaf is injective onto n consecutive integers and literally
     # closed, hence maximum length; verify_gradation only supplies checks.
@@ -404,9 +419,10 @@ def diagonal_search(alg: Algebra) -> GradationReport:
             return GradationReport(MAXIMUM_LENGTH, witness=witness,
                                    checks=verify_gradation(alg, witness).checks,
                                    search=search)
+    # the first closed leaf returns, so every leaf counted failed closure
     search = {"strategy": "diagonal", "window": n,
               "assignments_tried": tried,
-              "closure_failures": closure_failures,
+              "closure_failures": tried,
               "note": "exhaustive over injective interval maps in the given basis"}
     return GradationReport(NO_GRADATION_FOUND, search=search)
 
@@ -431,6 +447,8 @@ class GeneratorRoles:
 # lcm(1, 2, 3) = 6 they are integers.
 DRAW_SCALE = 6
 
+_UNSET = object()
+
 
 @dataclass
 class AdaptedBasisSample:
@@ -443,8 +461,8 @@ class AdaptedBasisSample:
     ``forms[s] = (a, b_1, ..., b_u)`` gives that vector the degree
     a*k_s + b_1*k_1 + ... + b_u*k_u in the driver degree k_s and the
     unknown degrees k_t.  The closure support (``closure_support``) is
-    computed from the integer rows on first use; the algebra in the
-    adapted basis is built only to certify a witness.
+    matched by proportionality from the integer rows on first use; the
+    algebra in the adapted basis is built only to certify a witness.
     """
 
     sample_index: int
@@ -454,7 +472,7 @@ class AdaptedBasisSample:
     scales: tuple[tuple[int, int], ...] | None = None
     forms: tuple[tuple[int, ...], ...] | None = None
     labels: tuple[str, ...] | None = None
-    support: tuple[tuple[int, int, int], ...] | None = None
+    support: object = _UNSET  # closure_support's tuple or None once computed
 
     @property
     def degenerate(self) -> bool:
@@ -468,28 +486,43 @@ class AdaptedBasisSample:
         return tuple(tuple(Fraction(a * c, b) for c in row)
                      for (a, b), row in zip(self.scales, self.rows))
 
-    def closure_support(self, alg: Algebra) -> tuple[tuple[int, int, int], ...]:
+    def closure_support(self, alg: Algebra) -> tuple[tuple[int, int, int], ...] | None:
         """Every (i, j, k) with a nonzero coefficient of b_k in [b_i, b_j],
-        in (i, j, k) order: the ``_triples`` of the algebra in the basis
-        ``basis_matrix``.
+        in (i, j, k) order (the ``_triples`` of the algebra in the basis
+        ``basis_matrix``), or None when some [b_i, b_j] has two targets.
 
-        Scaling the rows by nonzero rationals and the table by its common
-        denominator changes no support, so it is read from the integer
-        brackets [rows_i, rows_j] times an integer multiple of the inverse
-        of the rows.  Computed on first use and cached.
+        Under the distinct degrees the search tests, two targets k1 != k2
+        need two offsets d_i + d_j - d_k, so a None support closes under
+        none of them.  A nonzero integer bracket [rows_i, rows_j] is matched
+        to its one target by ``_ray``, with no inverse of the rows; scaling
+        by nonzero rationals changes no ray.  Computed on first use, cached.
         """
-        if self.support is None:
+        if self.support is _UNSET:
             n = alg.dim
             _, index = alg.integer_index
-            inverse = sparse_rows(integer_inverse(self.rows)[1])
+            targets = {_ray(row): k for k, row in enumerate(self.rows)}
             columns = [sparse_rows(right_columns(index, n, x)) for x in self.rows]
             triples = []
             for i, u in enumerate(self.rows):
                 for j in range(n):
-                    coords = right_image(inverse, right_image(columns[j], u))
-                    triples.extend((i, j, k) for k, c in enumerate(coords) if c)
+                    w = right_image(columns[j], u)
+                    if any(w):
+                        k = targets.get(_ray(w))
+                        if k is None:
+                            self.support = None
+                            return None
+                        triples.append((i, j, k))
             self.support = tuple(triples)
         return self.support
+
+
+def _ray(v: tuple[int, ...]) -> tuple[int, ...]:
+    """v over its content, first nonzero entry positive: the same for two
+    nonzero integer vectors exactly when they are proportional."""
+    g = gcd(*v)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple(c // g for c in v)
 
 
 def _draw_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
@@ -616,6 +649,8 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     """
     n = alg.dim
     kt_window = 2 * n
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise InvalidInputError(f"samples must be an integer, got {samples!r}")
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     l2 = lower_central_series(alg).derived_subalgebra
@@ -630,6 +665,9 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     else:
         if roles.driver in roles.others or len(set(roles.others)) != len(roles.others):
             raise InvalidInputError("generator roles overlap")
+        indices = (roles.driver, *roles.others, *(roles.extra_draw or ()))
+        if not all(type(i) is int and 0 <= i < n for i in indices):
+            raise InvalidInputError(f"generator roles must lie in range({n}): {roles}")
         role_choices = [roles]
     unknowns = len(role_choices[0].others)
     space_size = (2 * kt_window + 1) ** unknowns
@@ -685,7 +723,8 @@ def two_generator_search(alg: Algebra, samples: int = 3,
                     verdict_reason = reason
                 continue
             for sample in members:
-                if _closure_offset(sample.closure_support(alg), degs)[0]:
+                support = sample.closure_support(alg)
+                if support is not None and _closure_offset(support, degs)[0]:
                     witness = DegreeAssignment(dict(enumerate(degs)))
                     adapted = change_of_basis(alg, sample.basis_matrix, sample.labels)
                     report = verify_gradation(adapted, witness)

@@ -335,6 +335,25 @@ def test_search_degenerate_roles_error():
         two_generator_search(alg, roles=GeneratorRoles(driver=0, others=()))
 
 
+@pytest.mark.parametrize("samples", [2.5, True, "2", None])
+def test_search_rejects_a_non_integer_sample_count(samples):
+    with pytest.raises(InvalidInputError, match="samples must be an integer"):
+        two_generator_search(chain_algebra(3), samples=samples)
+
+
+@pytest.mark.parametrize("roles", [
+    GeneratorRoles(driver=9, others=(1,)),
+    GeneratorRoles(driver=-1, others=(1,)),
+    GeneratorRoles(driver=0, others=(5,)),
+    GeneratorRoles(driver=0, others=(1,), extra_draw=(2, 7)),
+])
+def test_search_rejects_roles_outside_the_basis(roles):
+    # M3(5,1) has basis indices 0..4; -1 would silently mean the last one
+    alg = make(FamilySpec("M3", 5, 1))
+    with pytest.raises(InvalidInputError, match=r"range\(5\)"):
+        two_generator_search(alg, roles=roles)
+
+
 def test_search_perfect_algebra_rejected():
     from nilalg import NotNilpotentError
     alg = Algebra.from_products(1, ("e1",), {(0, 0): [(0, F(1))]})

@@ -12,12 +12,14 @@ and on catalog algebras under a random invertible change of basis.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilalg import (
     Algebra,
+    DegreeAssignment,
     FamilySpec,
     Subspace,
     abelian_algebra,
@@ -32,12 +34,14 @@ from nilalg import (
     right_mult_matrix,
     square_ideal,
     two_generator_search,
+    verify_gradation,
 )
 from nilalg.core import bracket_basis, bracket_vec_basis
 from nilalg.gradations import (
     AdaptedBasisSample,
     GeneratorRoles,
     _close_adapted_basis,
+    _closure_offset,
     _draw_generators,
 )
 from nilalg.linalg import RowSpace
@@ -311,7 +315,8 @@ def search_algebras(draw):
 @given(search_algebras(), st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 def test_integer_closure_and_support_match_fraction_path(alg, seed, plain):
     # the integer closure gives the Fraction closure's basis and forms, and
-    # its support is the adapted algebra's, which only the witness builds
+    # its support is the adapted algebra's, which only the witness builds,
+    # or None when some bracket of adapted vectors has two targets
     roles = first_generator_roles(alg)
     sample = closed_sample(alg, roles, seed, plain)
     rational = rational_generators(alg, roles, random.Random(seed), plain)
@@ -322,7 +327,27 @@ def test_integer_closure_and_support_match_fraction_path(alg, seed, plain):
     assert (sample.basis_matrix, sample.forms) == expected
     assert all(type(c) is int for row in sample.rows for c in row)
     adapted = change_of_basis(alg, sample.basis_matrix, sample.labels)
-    assert sample.closure_support(alg) == adapted._triples
+    pairs = [(i, j) for i, j, _ in adapted._triples]
+    one_target = len(set(pairs)) == len(pairs)
+    assert sample.closure_support(alg) == (adapted._triples if one_target else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_algebras(), st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_support_decides_closure_under_distinct_degrees(alg, seed, plain):
+    # a shift of a permutation of range(n) is every assignment of distinct
+    # interval degrees, and verify_gradation allows any offset: the adapted
+    # algebra closes under one exactly when the support does, so a None
+    # support (a bracket with two targets) closes under none of them
+    assume(alg.dim <= 5)
+    sample = closed_sample(alg, first_generator_roles(alg), seed, plain)
+    assume(not sample.degenerate)
+    support = sample.closure_support(alg)
+    adapted = change_of_basis(alg, sample.basis_matrix, sample.labels)
+    for perm in permutations(range(alg.dim)):
+        closes = verify_gradation(adapted, DegreeAssignment(dict(enumerate(perm))))
+        assert closes.checks.closure == (
+            support is not None and _closure_offset(support, perm)[0])
 
 
 def test_integer_closure_sees_content_and_denominators():
