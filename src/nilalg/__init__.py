@@ -41,7 +41,6 @@ from .gradations import (
 )
 from .invariants import (
     CentralSeries,
-    CharacteristicSequence,
     DEFAULT_SEED,
     char_seq_at,
     characteristic_sequence,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "LeibnizReport", "Subspace", "FamilySpec", "DegreeAssignment",
     "Fingerprint", "GeneratorRoles", "GradationReport", "NaturalGradation",
-    "CentralSeries", "CharacteristicSequence",
+    "CentralSeries",
     "NilalgError", "InvalidInputError", "NotNilpotentError",
     "DegenerateSampleError", "MAXIMUM_LENGTH", "NOT_MAXIMUM_LENGTH",
     "NO_GRADATION_FOUND", "DEFAULT_SEED",

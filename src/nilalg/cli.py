@@ -157,7 +157,7 @@ def cmd_invariants(args) -> int:
     report["series_dims"] = list(series.dims)
     report["nilindex"] = len(series.dims) - 1
     report["characteristic_sequence"] = list(
-        characteristic_sequence(alg, seed=seed).seq)
+        characteristic_sequence(alg, seed=seed))
     report["natural_gradation_dims"] = list(
         natural_gradation(alg).component_dims)
     _emit(report, args.out)

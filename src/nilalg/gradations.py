@@ -27,9 +27,11 @@ can close only if every nonzero bracket of two adapted vectors is a
 multiple of a single third; its closure support is read from the integer
 rows by that proportionality, with no inverse.  Scaling vectors by nonzero
 rationals changes no span and no proportionality, so every verdict and
-reason is that of a ``Fraction`` search.  The ``Fraction`` algebra in the
-adapted basis is built only for the sample that closes, and its witness is
-reported only once ``verify_gradation`` confirms it there.
+reason is that of a ``Fraction`` search.  Each sample is built whole or not
+at all; labels and the ``Fraction`` algebra in the adapted basis are built
+only for the sample that closes, and its witness is reported only once
+``verify_gradation`` confirms it there.  The reasons the unknown tuples
+fail are tallied as they come, so memory does not grow with the tuples tried.
 
 Search candidates are examined in a fixed order (lowest unknown tuple
 first, samples in build order) and the first witness wins, so results are
@@ -41,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial, gcd
 from operator import add, mul
@@ -305,7 +308,7 @@ class Fingerprint:
 def graded_fingerprint(alg: Algebra, samples: int = DEFAULT_SAMPLES,
                        seed: int = DEFAULT_SEED) -> Fingerprint:
     cs = characteristic_sequence(alg, samples=samples, seed=seed)
-    return Fingerprint(alg.dim, lower_central_series(alg).dims, cs.seq,
+    return Fingerprint(alg.dim, lower_central_series(alg).dims, cs,
                        is_lie(alg), natural_gradation(alg).component_dims,
                        square_ideal(alg).dim)
 
@@ -447,46 +450,40 @@ class GeneratorRoles:
 # lcm(1, 2, 3) = 6 they are integers.
 DRAW_SCALE = 6
 
-_UNSET = object()
-
-
 @dataclass
 class AdaptedBasisSample:
-    """One generic draw of homogeneous generators plus its bracket closure.
+    """One generic draw of homogeneous generators, closed under bracketing.
 
-    Everything up to a witness runs on Python ints.  ``generators`` and
-    ``rows`` are integer vectors, and ``scales[s] = (a, b)`` makes
-    a/b * rows[s] the rational adapted basis vector that ``basis_matrix``
-    returns, the vector a ``Fraction`` closure would have built.
-    ``forms[s] = (a, b_1, ..., b_u)`` gives that vector the degree
-    a*k_s + b_1*k_1 + ... + b_u*k_u in the driver degree k_s and the
-    unknown degrees k_t.  The closure support (``closure_support``) is
-    matched by proportionality from the integer rows on first use; the
-    algebra in the adapted basis is built only to certify a witness.
+    Built whole by ``_close_adapted_basis``, or not at all for a degenerate
+    draw.  Everything up to a witness runs on Python ints: ``rows`` are
+    integer vectors, and ``scales[s] = (a, b)`` makes a/b * rows[s] the
+    rational adapted basis vector that ``basis_matrix`` returns, the vector
+    a ``Fraction`` closure would have built.  ``forms[s] = (a, b_1, ...,
+    b_u)`` gives that vector the degree a*k_s + b_1*k_1 + ... + b_u*k_u in
+    the driver degree k_s and the unknown degrees k_t.  Sample 0 draws the
+    plain generators.  The closure support (``closure_support``) is matched
+    by proportionality from the integer rows on first use; labels and the
+    algebra in the adapted basis are built only to certify a witness.
     """
 
+    alg: Algebra
     sample_index: int
-    plain: bool
-    generators: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, ...], ...] | None = None
-    scales: tuple[tuple[int, int], ...] | None = None
-    forms: tuple[tuple[int, ...], ...] | None = None
-    labels: tuple[str, ...] | None = None
-    support: object = _UNSET  # closure_support's tuple or None once computed
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[tuple[int, int], ...]
+    forms: tuple[tuple[int, ...], ...]
 
     @property
-    def degenerate(self) -> bool:
-        return self.rows is None
+    def plain(self) -> bool:
+        return self.sample_index == 0
 
     @property
-    def basis_matrix(self) -> tuple[Vector, ...] | None:
-        """The adapted basis as rational rows, or None for a degenerate draw."""
-        if self.rows is None:
-            return None
+    def basis_matrix(self) -> tuple[Vector, ...]:
+        """The adapted basis as rational rows."""
         return tuple(tuple(Fraction(a * c, b) for c in row)
                      for (a, b), row in zip(self.scales, self.rows))
 
-    def closure_support(self, alg: Algebra) -> tuple[tuple[int, int, int], ...] | None:
+    @cached_property
+    def closure_support(self) -> tuple[tuple[int, int, int], ...] | None:
         """Every (i, j, k) with a nonzero coefficient of b_k in [b_i, b_j],
         in (i, j, k) order (the ``_triples`` of the algebra in the basis
         ``basis_matrix``), or None when some [b_i, b_j] has two targets.
@@ -497,23 +494,20 @@ class AdaptedBasisSample:
         to its one target by ``_ray``, with no inverse of the rows; scaling
         by nonzero rationals changes no ray.  Computed on first use, cached.
         """
-        if self.support is _UNSET:
-            n = alg.dim
-            _, index = alg.integer_index
-            targets = {_ray(row): k for k, row in enumerate(self.rows)}
-            columns = [sparse_rows(right_columns(index, n, x)) for x in self.rows]
-            triples = []
-            for i, u in enumerate(self.rows):
-                for j in range(n):
-                    w = right_image(columns[j], u)
-                    if any(w):
-                        k = targets.get(_ray(w))
-                        if k is None:
-                            self.support = None
-                            return None
-                        triples.append((i, j, k))
-            self.support = tuple(triples)
-        return self.support
+        n = self.alg.dim
+        _, index = self.alg.integer_index
+        targets = {_ray(row): k for k, row in enumerate(self.rows)}
+        columns = [sparse_rows(right_columns(index, n, x)) for x in self.rows]
+        triples = []
+        for i, u in enumerate(self.rows):
+            for j in range(n):
+                w = right_image(columns[j], u)
+                if any(w):
+                    k = targets.get(_ray(w))
+                    if k is None:
+                        return None
+                    triples.append((i, j, k))
+        return tuple(triples)
 
 
 def _ray(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -552,27 +546,27 @@ def _draw_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
     return tuple(gens)
 
 
-def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
-                         unknowns: int) -> None:
-    """Bracket-close the generators on ints, tracking symbolic degrees.
+def _close_adapted_basis(alg: Algebra, sample_index: int, generators,
+                         unknowns: int) -> AdaptedBasisSample | None:
+    """Bracket-close the integer generators, tracking symbolic degrees.
 
-    Fills rows, scales, forms and labels in place; leaves rows = None when
-    the closure does not span (degenerate draw).  Brackets are taken on the
-    algebra's ``integer_index``, which gives D times the bracket, and each
-    new row is divided by its content g; its scale is that of its factors
-    times g / D.  The same vectors up to scale therefore enter in the order
-    a ``Fraction`` closure would add them.
+    Returns the closed sample, or None when the closure does not span
+    (degenerate draw).  Brackets are taken on the algebra's
+    ``integer_index``, which gives D times the bracket, and each new row is
+    divided by its content g; its scale is that of its factors times g / D.
+    The same vectors up to scale therefore enter in the order a ``Fraction``
+    closure would add them.
     """
     n = alg.dim
     den, index = alg.integer_index
-    rows = list(sample.generators)
-    scales = [(1, 1 if sample.plain else DRAW_SCALE)] * len(rows)
+    rows = list(generators)
+    scales = [(1, 1 if sample_index == 0 else DRAW_SCALE)] * len(rows)
     forms = [tuple(int(s == t) for s in range(unknowns + 1))
              for t in range(unknowns + 1)]
     space = RowSpace(n)
     for v in rows:
         if not space.add(v):
-            return  # generators already dependent
+            return None  # generators already dependent
     columns: dict[int, list] = {}  # j -> sparse [e_t, rows[j]], on first use
     # rows[:done] were bracketed pairwise by an earlier full pass; those
     # brackets already lie in the span, so each pass skips old x old pairs.
@@ -600,12 +594,10 @@ def _close_adapted_basis(alg: Algebra, sample: AdaptedBasisSample,
             if space.dim == n:
                 break
         if not added:
-            return  # closure stalls below full rank
+            return None  # closure stalls below full rank
         done = size
-    sample.rows = tuple(rows)
-    sample.scales = tuple(scales)
-    sample.forms = tuple(forms)
-    sample.labels = _adapted_labels(alg, sample.rows)
+    return AdaptedBasisSample(alg, sample_index, tuple(rows), tuple(scales),
+                              tuple(forms))
 
 
 def _adapted_labels(alg: Algebra, matrix) -> tuple[str, ...]:
@@ -645,7 +637,9 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     (see ``AdaptedBasisSample``).  Only the sample that closes gets its
     rational adapted algebra, and the witness is reported only if
     ``verify_gradation`` confirms it there; ``checks`` come from that
-    verification.
+    verification.  The report counts the tuples that failed by reason,
+    gives the lowest per reason, and lists each one's reason; with more than
+    one unknown and over 1000 failed, only the first 200 are listed.
     """
     n = alg.dim
     kt_window = 2 * n
@@ -679,26 +673,16 @@ def two_generator_search(alg: Algebra, samples: int = 3,
 
     rng = random.Random(seed)
     built: list[AdaptedBasisSample] = []
-    degenerate = 0
     for sample_index in range(samples + 1):
         for choice in role_choices:
-            sample = AdaptedBasisSample(
-                sample_index=sample_index, plain=(sample_index == 0),
-                generators=_draw_generators(alg, choice, rng,
-                                            plain=(sample_index == 0)))
-            _close_adapted_basis(alg, sample, unknowns)
-            if sample.degenerate:
-                degenerate += 1
-            else:
+            generators = _draw_generators(alg, choice, rng, plain=(sample_index == 0))
+            sample = _close_adapted_basis(alg, sample_index, generators, unknowns)
+            if sample is not None:
                 built.append(sample)
     if not built:
         raise DegenerateSampleError(
             "every generator sample produced a singular basis change; "
             "re-seed or adjust the generator roles")
-    names = ["k_t"] if unknowns == 1 else [f"k_{t + 1}" for t in range(unknowns)]
-    header = {"strategy": "two_generator_adapted_basis", "kt_window": kt_window,
-              "samples": samples, "seed": seed, "unknowns": names,
-              "degenerate_samples": degenerate}
 
     # Group samples whose symbolic degree forms coincide: the degree-set
     # checks depend only on the forms, closure is per-sample.  Groups keep
@@ -707,7 +691,13 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     for sample in built:
         groups.setdefault(sample.forms, []).append(sample)
 
-    reasons_by_kt: dict[tuple[int, ...], str] = {}
+    # Enumeration is ascending, so a reason's first tuple is its lowest; a
+    # report with more than one unknown lists at most the first 1000.
+    reason_counts = dict.fromkeys(
+        sorted((REASON_CLOSURE, REASON_COLLISION, REASON_DISCONNECTED)), 0)
+    exemplars: dict[str, list[int]] = {}
+    listed: list[tuple[tuple[int, ...], str]] = []
+    found = None
     domain = range(-kt_window, kt_window + 1)
     # With k_s = 1 a form's degree is a + b . kts; the pairs are computed
     # once per group rather than per form per tuple.
@@ -718,59 +708,52 @@ def two_generator_search(alg: Algebra, samples: int = 3,
         for pairs, members in affine:
             degs = [const + sum(map(mul, b, kts)) for const, b in pairs]
             reason = _degree_reason(n, degs)
-            if reason is not None:
-                if verdict_reason is None:
-                    verdict_reason = reason
-                continue
-            for sample in members:
-                support = sample.closure_support(alg)
-                if support is not None and _closure_offset(support, degs)[0]:
-                    witness = DegreeAssignment(dict(enumerate(degs)))
-                    adapted = change_of_basis(alg, sample.basis_matrix, sample.labels)
-                    report = verify_gradation(adapted, witness)
-                    if not report.is_maximum_length:
-                        raise RuntimeError(
-                            f"integer closure support of sample "
-                            f"{sample.sample_index} accepts degrees {degs}, "
-                            "which the rational adapted algebra refutes")
-                    search = _search_summary(header, reasons_by_kt)
-                    search.update(
-                        witness_at=list(kts),
-                        sample_index=sample.sample_index,
-                        plain_sample=sample.plain,
-                        adapted_basis_labels=list(sample.labels),
-                        adapted_basis_matrix=_matrix_strings(sample.basis_matrix))
-                    return GradationReport(MAXIMUM_LENGTH, witness=witness,
-                                           checks=report.checks, search=search)
+            if reason is None:
+                found = next((sample for sample in members
+                              if sample.closure_support is not None
+                              and _closure_offset(sample.closure_support, degs)[0]),
+                             None)
+                if found is not None:
+                    break
+                reason = REASON_CLOSURE
             if verdict_reason is None:
-                verdict_reason = REASON_CLOSURE
-        reasons_by_kt[kts] = verdict_reason
-    search = _search_summary(header, reasons_by_kt)
-    search["note"] = SCHEME_NOTE
-    return GradationReport(NO_GRADATION_FOUND, search=search)
+                verdict_reason = reason
+        if found is not None:
+            break
+        reason_counts[verdict_reason] += 1
+        exemplars.setdefault(verdict_reason, list(kts))
+        if unknowns == 1 or len(listed) < 1000:
+            listed.append((kts, verdict_reason))
+
+    tried = sum(reason_counts.values())
+    names = ["k_t"] if unknowns == 1 else [f"k_{t + 1}" for t in range(unknowns)]
+    search = {"strategy": "two_generator_adapted_basis", "kt_window": kt_window,
+              "samples": samples, "seed": seed, "unknowns": names,
+              "degenerate_samples": (samples + 1) * len(role_choices) - len(built),
+              "reason_counts": reason_counts,
+              "reason_exemplars": dict(sorted(exemplars.items()))}
+    if unknowns > 1 and tried > 1000:
+        search["reasons_by_kt_truncated"] = tried
+        listed = listed[:200]
+    search["reasons_by_kt"] = {",".join(map(str, k)): r for k, r in listed}
+    if found is None:
+        search["note"] = SCHEME_NOTE
+        return GradationReport(NO_GRADATION_FOUND, search=search)
+
+    # degs holds the degrees of the group that closed
+    witness = DegreeAssignment(dict(enumerate(degs)))
+    labels = _adapted_labels(alg, found.rows)
+    report = verify_gradation(change_of_basis(alg, found.basis_matrix, labels), witness)
+    if not report.is_maximum_length:
+        raise RuntimeError(
+            f"integer closure support of sample {found.sample_index} accepts "
+            f"degrees {degs}, which the rational adapted algebra refutes")
+    search.update(witness_at=list(kts), sample_index=found.sample_index,
+                  plain_sample=found.plain, adapted_basis_labels=list(labels),
+                  adapted_basis_matrix=_matrix_strings(found.basis_matrix))
+    return GradationReport(MAXIMUM_LENGTH, witness=witness, checks=report.checks,
+                           search=search)
 
 
 def _matrix_strings(matrix: tuple[Vector, ...]) -> list[list[str]]:
     return [[str(Fraction(c)) for c in row] for row in matrix]
-
-
-def _search_summary(header: dict, reasons_by_kt: dict) -> dict:
-    """``header`` plus the failure reasons of the unknown tuples tried.
-
-    ``reasons_by_kt`` is in enumeration order, which is ascending, so each
-    reason's exemplar is the lowest tuple that failed for it.
-    """
-    reason_counts = dict.fromkeys(
-        sorted((REASON_CLOSURE, REASON_COLLISION, REASON_DISCONNECTED)), 0)
-    exemplars: dict[str, list[int]] = {}
-    for kts, reason in reasons_by_kt.items():
-        reason_counts[reason] += 1
-        exemplars.setdefault(reason, list(kts))
-    out = dict(header, reason_counts=reason_counts,
-               reason_exemplars=dict(sorted(exemplars.items())))
-    items = list(reasons_by_kt.items())
-    if len(header["unknowns"]) > 1 and len(items) > 1000:
-        out["reasons_by_kt_truncated"] = len(items)
-        items = items[:200]
-    out["reasons_by_kt"] = {",".join(map(str, k)): r for k, r in items}
-    return out

@@ -13,7 +13,6 @@ are deterministic and independent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -30,16 +29,6 @@ from .linalg import RowSpace, Vector, mat_vec, unit_vector
 
 DEFAULT_SEED = 20260
 DEFAULT_SAMPLES = 25
-
-
-@dataclass(frozen=True)
-class CharacteristicSequence:
-    """Descending block-size sequence; entries sum to the algebra dimension."""
-
-    seq: tuple[int, ...]
-
-    def __lt__(self, other: "CharacteristicSequence") -> bool:
-        return self.seq < other.seq
 
 
 def lower_central_series(alg: Algebra) -> CentralSeries:
@@ -110,15 +99,14 @@ def nilpotent_block_profile(m) -> tuple[int, ...]:
     return _profile_from_ranks(ranks)
 
 
-def char_seq_at(alg: Algebra, x) -> CharacteristicSequence:
-    """C(x): Jordan profile of R_x for x outside L^2."""
+def char_seq_at(alg: Algebra, x) -> tuple[int, ...]:
+    """C(x): Jordan profile of R_x for x outside L^2, descending."""
     if lower_central_series(alg).derived_subalgebra.contains(x):
         raise InvalidInputError("x lies in L^2; C(x) requires x outside L^2")
     try:
-        profile = nilpotent_block_profile(right_mult_matrix(alg, x))
+        return nilpotent_block_profile(right_mult_matrix(alg, x))
     except InvalidInputError as exc:
         raise NotNilpotentError(f"R_x is not nilpotent: {exc}") from exc
-    return CharacteristicSequence(profile)
 
 
 def draw_scaled_rationals(rng: random.Random, count: int, top: int, den: int,
@@ -156,8 +144,9 @@ def _random_integer_vector(rng: random.Random, n: int) -> tuple[int, ...]:
 
 
 def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
-                            seed: int = DEFAULT_SEED) -> CharacteristicSequence:
-    """Lexicographic maximum of C(x) over a finite test set.
+                            seed: int = DEFAULT_SEED) -> tuple[int, ...]:
+    """Lexicographic maximum of C(x) over a finite test set: a descending
+    tuple of block sizes that sums to the algebra dimension.
 
     The test set holds every basis vector outside L^2, every pairwise sum
     of two such basis vectors that also lies outside L^2, and ``samples``
@@ -220,7 +209,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
             if ceiling is None:
                 r_bar = _rank_ceiling(alg)
                 ceiling = (r_bar + 1,) + (1,) * (n - r_bar - 1)
-            if best.seq == ceiling:
+            if best == ceiling:
                 break
     return best
 
@@ -265,8 +254,8 @@ def _rank_ceiling(alg: Algebra) -> int:
     return RowSpace(n, rows.values()).dim + n - len(forms)
 
 
-def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None,
-                     bounds: dict | None = None) -> CharacteristicSequence | None:
+def _pruned_char_seq(index, n: int, x, best: tuple[int, ...] | None,
+                     bounds: dict | None = None) -> tuple[int, ...] | None:
     """C(x) if it is lexicographically above ``best``, else None.
 
     ``index`` is the algebra's ``integer_index`` and ``x`` an integer
@@ -287,10 +276,10 @@ def _pruned_char_seq(index, n: int, x, best: CharacteristicSequence | None,
         if bound is None:
             bound = bounds[ranks] = _profile_from_ranks(
                 ranks + tuple(range(ranks[-1] - 1, -1, -1)))
-        if best is not None and bound <= best.seq:
+        if best is not None and bound <= best:
             return None
         if ranks[-1] == 0:
-            return CharacteristicSequence(bound)
+            return bound
         if vectors is None:
             vectors = columns
         else:
@@ -315,4 +304,4 @@ def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,
     if p < 0 or p >= alg.dim:
         raise InvalidInputError(f"need 0 <= p < dim, got p={p}, dim={alg.dim}")
     expected = (alg.dim - p,) + (1,) * p
-    return characteristic_sequence(alg, samples=samples, seed=seed).seq == expected
+    return characteristic_sequence(alg, samples=samples, seed=seed) == expected

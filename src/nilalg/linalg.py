@@ -188,30 +188,16 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def integer_inverse(m: Sequence[Sequence[Fraction]]
-                    ) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-    """(d, d * m^-1) for one positive integer d, or None if m is singular.
+def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
+    """Exact inverse, or None if m is singular.
 
     [m | I] is eliminated fraction-free; m is singular iff a pivot falls in
-    the right half.  Row p of the back-substituted rows (see
-    ``RowSpace._back_substituted``) holds row[p] times row p of the inverse
-    in its right half, which is brought to the lcm d of the pivot entries.
+    the right half, and otherwise the right half of the reduced row echelon
+    basis is the inverse.
     """
     n = len(m)
     space = RowSpace(2 * n, (tuple(m[i]) + tuple(int(j == i) for j in range(n))
                              for i in range(n)))
     if space.pivots != tuple(range(n)):
         return None
-    reduced = space._back_substituted()
-    d = lcm(*(row[p] for p, row in reduced))
-    return d, tuple(tuple(c * (d // row[p]) for c in row[n:]) for p, row in reduced)
-
-
-def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
-    """Exact inverse, ``integer_inverse`` divided by its d, or None if m is
-    singular."""
-    scaled = integer_inverse(m)
-    if scaled is None:
-        return None
-    d, rows = scaled
-    return tuple(tuple(Fraction(c, d) if c else ZERO for c in row) for row in rows)
+    return tuple(row[n:] for row in space.rows())

@@ -46,7 +46,6 @@ from nilalg.invariants import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     CentralSeries,
-    CharacteristicSequence,
 )
 from nilalg.linalg import identity, unit_vector
 
@@ -292,7 +291,7 @@ def random_rational_vector(rng: random.Random, n: int) -> tuple:
 
 
 def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
-                                       seed: int = DEFAULT_SEED) -> CharacteristicSequence:
+                                       seed: int = DEFAULT_SEED) -> tuple[int, ...]:
     """``characteristic_sequence`` without pruning: the same candidates in
     the same order, each given its full C(x) by ``char_seq_at``, with
     membership in L^2 tested by ``Subspace.contains`` on the ``Fraction``

@@ -56,7 +56,7 @@ def test_grid_p_filiform(spec, grid_algebras):
     alg = grid_algebras[spec]
     assert is_p_filiform(alg, spec.p)
     expected = (spec.n - spec.p,) + (1,) * spec.p
-    assert characteristic_sequence(alg).seq == expected
+    assert characteristic_sequence(alg) == expected
 
 
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: s.name())

@@ -13,6 +13,7 @@ from nilalg import (
     algebra_to_json,
     change_of_basis,
     diagonal_search,
+    generator_roles,
     make,
     two_generator_search,
 )
@@ -282,6 +283,28 @@ def test_search_reports_pinned():
                    two_generator_search(alg, samples=2).to_dict()]
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == expected, index
+
+
+# sha256 of json.dumps(report, sort_keys=True) for the adapted-basis search
+# with catalog roles, default seed and samples, on specs with more than one
+# unknown, where the report lists at most 1000 tuples: a negative over 1089
+# tuples (truncated to 200), a positive after 975 (listed in full) and a
+# positive after 1052 (truncated to 200).
+CATALOG_SEARCH_SHA256 = {
+    FamilySpec("M2", 8, 4):
+        "f3c26cbefa6a2b5bc52cde183aedc5914f80c6a9ec5227e5e9f1b3e511aacabb",
+    FamilySpec("M5", 11, 4):
+        "5917ac727869f10a45bee01e3ccb1821dc0c875eeed5d0b45eacb420e462d10e",
+    FamilySpec("M4", 12, 4, (), 0):
+        "123ec286e5043727baf52792e810c3fdabda111f5c3d2fd31fa98a593ed9a6bd",
+}
+
+
+@pytest.mark.parametrize("spec", CATALOG_SEARCH_SHA256, ids=FamilySpec.name)
+def test_catalog_search_reports_pinned(spec):
+    report = two_generator_search(make(spec), roles=generator_roles(spec)).to_dict()
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SEARCH_SHA256[spec]
 
 
 # sha256 of each default-seed ``invariants -o`` report (series dims,

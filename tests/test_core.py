@@ -205,8 +205,8 @@ def test_change_of_basis_preserves_invariants(m1_8_4):
     moved = change_of_basis(m1_8_4, m)
     assert check_leibniz(moved).ok == check_leibniz(m1_8_4).ok
     assert lower_central_series(moved).dims == lower_central_series(m1_8_4).dims
-    assert (characteristic_sequence(moved).seq
-            == characteristic_sequence(m1_8_4).seq)
+    assert (characteristic_sequence(moved)
+            == characteristic_sequence(m1_8_4))
 
 
 # -- JSON ---------------------------------------------------------------------

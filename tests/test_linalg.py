@@ -5,7 +5,7 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
-from nilalg.linalg import RowSpace, identity, integer_inverse, invert, unit_vector
+from nilalg.linalg import RowSpace, identity, invert, unit_vector
 
 from oracles import dense_invert, mat_mul, rank
 
@@ -78,23 +78,6 @@ def test_invert_matches_gauss_jordan(m):
     assert minv == dense_invert(m)
     if minv is not None:
         assert mat_mul(m, minv) == identity(len(m))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=7).flatmap(
-    lambda n: st.lists(st.lists(st.integers(min_value=-3, max_value=3),
-                                min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_integer_inverse_is_a_multiple_of_the_inverse(m):
-    expected = dense_invert(m)
-    got = integer_inverse(m)
-    if expected is None:
-        assert got is None
-        return
-    d, scaled = got
-    assert type(d) is int and d > 0
-    assert all(type(c) is int for row in scaled for c in row)
-    assert scaled == tuple(tuple(d * c for c in row) for row in expected)
 
 
 @st.composite
