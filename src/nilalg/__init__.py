@@ -25,7 +25,6 @@ from .errors import (
 )
 from .gradations import (
     DegreeAssignment,
-    Fingerprint,
     GeneratorRoles,
     GradationReport,
     MAXIMUM_LENGTH,
@@ -55,8 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algebra", "LeibnizReport", "Subspace", "FamilySpec", "DegreeAssignment",
-    "Fingerprint", "GeneratorRoles", "GradationReport", "NaturalGradation",
-    "CentralSeries",
+    "GeneratorRoles", "GradationReport", "NaturalGradation", "CentralSeries",
     "NilalgError", "InvalidInputError", "NotNilpotentError",
     "DegenerateSampleError", "MAXIMUM_LENGTH", "NOT_MAXIMUM_LENGTH",
     "NO_GRADATION_FOUND", "DEFAULT_SEED",

@@ -300,15 +300,21 @@ def full_r(spec: FamilySpec) -> tuple[int, ...]:
     return spec.r
 
 
-def make(spec: FamilySpec) -> Algebra:
-    """Build the algebra selected by ``spec``; validates all hypotheses."""
+def _validate(spec: FamilySpec):
+    """Raise InvalidInputError naming the first hypothesis ``spec`` violates."""
     if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
-        r = full_r(spec)
-        _validate_lie(spec, r)
+        _validate_lie(spec, full_r(spec))
         if spec.family == "Q" and (spec.n - spec.p) % 2 == 0:
             _fail(spec, "n-p odd (required by the Q table)")
-        return _build_lie(spec, r)
-    _validate_m(spec)
+    else:
+        _validate_m(spec)
+
+
+def make(spec: FamilySpec) -> Algebra:
+    """Build the algebra selected by ``spec``; validates all hypotheses."""
+    _validate(spec)
+    if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
+        return _build_lie(spec, full_r(spec))
     return _build_m(spec)
 
 
@@ -318,10 +324,10 @@ def known_witness(spec: FamilySpec) -> DegreeAssignment | None:
     Returns None for families proved to admit no maximum-length gradation
     (L, Q, tau, M3) and for M1/M2, whose extensions are covered by M4/M5.
     """
+    _validate(spec)
     n, p = spec.n, spec.p
     m = n - p
     if spec.family == "M4":
-        _validate_m(spec)
         if spec.alpha == 1:
             return m4_1_witness(n, p)
         degrees = {i - 1: i for i in range(1, m + 1)}
@@ -330,7 +336,6 @@ def known_witness(spec: FamilySpec) -> DegreeAssignment | None:
             degrees[m + p // 2 + j - 1] = m + 2 * j     # z_j
         return DegreeAssignment(degrees)
     if spec.family == "M5":
-        _validate_m(spec)
         degrees = {i - 1: i for i in range(1, m + 1)}
         degrees[m] = -1                                  # y_1
         degrees[m + p // 2] = 0                          # z_1
@@ -338,7 +343,6 @@ def known_witness(spec: FamilySpec) -> DegreeAssignment | None:
             degrees[m + j - 1] = m + 2 * j - 3           # y_j
             degrees[m + p // 2 + j - 1] = m + 2 * j - 2  # z_j
         return DegreeAssignment(degrees)
-    make(spec)  # validate parameters even when there is no witness
     return None
 
 

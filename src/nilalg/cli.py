@@ -27,6 +27,7 @@ from . import __version__
 from .catalog import FamilySpec, generator_roles, list_families, make, known_witness
 from .core import (
     Algebra,
+    LeibnizViolation,
     algebra_from_json,
     algebra_to_json,
     check_leibniz,
@@ -79,6 +80,11 @@ def _emit(report: dict, out_path: str | None) -> None:
         print(text)
 
 
+def _violation(alg: Algebra, v: LeibnizViolation) -> dict:
+    return {"triple": [alg.basis_labels[t] for t in v.triple],
+            "defect": alg.format_vector(v.defect)}
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
@@ -129,7 +135,8 @@ def cmd_catalog(args) -> int:
             raise InvalidInputError(
                 f"{spec.name()} has no known maximum-length witness")
         _write_text(args.witness_out,
-                    json.dumps(witness.to_dict(alg), indent=2, sort_keys=True) + "\n")
+                    json.dumps(witness.to_dict(alg.basis_labels), indent=2,
+                               sort_keys=True) + "\n")
     return 0
 
 
@@ -142,10 +149,7 @@ def cmd_invariants(args) -> int:
     leibniz = check_leibniz(alg)
     report["leibniz"] = {
         "ok": leibniz.ok,
-        "violations": [
-            {"triple": [alg.basis_labels[t] for t in v.triple],
-             "defect": alg.format_vector(v.defect)}
-            for v in leibniz.violations[:50]],
+        "violations": [_violation(alg, v) for v in leibniz.violations[:50]],
     }
     report["is_lie"] = is_lie(alg)
     try:
@@ -180,14 +184,10 @@ def cmd_grade(args) -> int:
                                       seed=seed)
     else:
         result = diagonal_search(alg)
-    report["gradation"] = result.to_dict(alg if args.grade_cmd == "verify"
-                                         else None)
-    if result.is_maximum_length and result.witness is not None:
-        labels = (alg.basis_labels if args.grade_cmd != "search"
-                  else tuple(result.search["adapted_basis_labels"]))
-        report["gradation"]["witness"] = {
-            "degrees": {labels[i]: d
-                        for i, d in sorted(result.witness.degrees.items())}}
+    labels = alg.basis_labels
+    if args.grade_cmd == "search" and result.is_maximum_length:
+        labels = tuple(result.search["adapted_basis_labels"])
+    report["gradation"] = result.to_dict(labels)
     _emit(report, args.out)
     return 0 if result.is_maximum_length else 1
 
@@ -215,21 +215,19 @@ def run_pipeline(theorem: str, grid: list[FamilySpec] | None = None,
         leibniz = check_leibniz(alg)
         record["leibniz_ok"] = leibniz.ok
         if not leibniz.ok:
-            v = leibniz.violations[0]
-            record["leibniz_violation"] = {
-                "triple": [alg.basis_labels[t] for t in v.triple],
-                "defect": alg.format_vector(v.defect)}
+            record["leibniz_violation"] = _violation(alg, leibniz.violations[0])
         record["p_filiform"] = is_p_filiform(alg, spec.p, seed=seed)
         witness = known_witness(spec)
         if witness is not None:
             result = verify_gradation(alg, witness)
             record["witness_source"] = "catalog"
-            record["witness"] = witness.to_dict(alg)
+            record["witness"] = witness.to_dict(alg.basis_labels)
+            record["gradation"] = result.to_dict(alg.basis_labels)
         else:
             result = two_generator_search(alg, seed=seed,
                                           roles=generator_roles(spec))
             record["witness_source"] = "search"
-        record["gradation"] = result.to_dict(alg if witness is not None else None)
+            record["gradation"] = result.to_dict()
         record["verdict"] = result.verdict
         match = (leibniz.ok and record["p_filiform"]
                  and result.verdict == expected)

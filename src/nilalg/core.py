@@ -339,23 +339,11 @@ class LeibnizViolation:
 
 @dataclass(frozen=True)
 class LeibnizReport:
-    algebra_dim: int
     violations: tuple[LeibnizViolation, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def describe(self, alg: Algebra) -> str:
-        if self.ok:
-            return "Leibniz identity holds on all basis triples"
-        lines = [f"{len(self.violations)} violating basis triple(s):"]
-        for v in self.violations[:10]:
-            i, j, k = v.triple
-            lines.append(
-                f"  ({alg.basis_labels[i]}, {alg.basis_labels[j]}, "
-                f"{alg.basis_labels[k]}): defect = {alg.format_vector(v.defect)}")
-        return "\n".join(lines)
 
 
 def check_leibniz(alg: Algebra) -> LeibnizReport:
@@ -397,7 +385,7 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
                     for m, c in acc.items():
                         defect[m] = Fraction(c, den * den)
                     violations.append(LeibnizViolation((i, j, k), tuple(defect)))
-    return LeibnizReport(n, tuple(violations))
+    return LeibnizReport(tuple(violations))
 
 
 def is_lie(alg: Algebra) -> bool:

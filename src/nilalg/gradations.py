@@ -103,8 +103,8 @@ class DegreeAssignment:
     def negated(self) -> "DegreeAssignment":
         return DegreeAssignment({i: -d for i, d in self.degrees.items()})
 
-    def to_dict(self, alg: Algebra) -> dict:
-        return {"degrees": {alg.basis_labels[i]: self.degrees[i]
+    def to_dict(self, labels: tuple[str, ...]) -> dict:
+        return {"degrees": {labels[i]: self.degrees[i]
                             for i in sorted(self.degrees)}}
 
     @staticmethod
@@ -129,56 +129,31 @@ class DegreeAssignment:
 # -- gradation verification -------------------------------------------------
 
 @dataclass(frozen=True)
-class GradationChecks:
-    """Booleans for the four defining properties of a maximum-length gradation.
-
-    Closure is checked up to a uniform integer offset: the assignment
-    passes when every nonzero product satisfies deg(target) = d_i + d_j - c
-    for one common c.  Subtracting c from every degree turns such a witness
-    into a literal gradation with [V_i, V_j] in V_{i+j}, so the verdict is
-    invariant under shifting all degrees by a constant (and under negation,
-    the k_s = -1 case).  A literal gradation reports offset 0.
-    """
-
-    closure: bool
-    nonempty: bool
-    dim_one: bool
-    distinct: bool
-    connected: bool
-    interval: tuple[int, int] | None
-    offset: int | None = None
-
-    def to_dict(self) -> dict:
-        return {"closure": self.closure, "nonempty": self.nonempty,
-                "dim_one": self.dim_one, "distinct": self.distinct,
-                "connected": self.connected,
-                "interval": list(self.interval) if self.interval else None,
-                "offset": self.offset}
-
-
-@dataclass(frozen=True)
 class GradationReport:
     verdict: str
     witness: DegreeAssignment | None = None
     reason: str | None = None
-    checks: GradationChecks | None = None
+    checks: dict | None = None  # the report's "checked_properties"
     search: dict | None = None
 
     @property
     def is_maximum_length(self) -> bool:
         return self.verdict == MAXIMUM_LENGTH
 
-    def to_dict(self, alg: Algebra | None = None) -> dict:
+    def to_dict(self, labels: tuple[str, ...] | None = None) -> dict:
+        """The report as JSON data.  The witness is keyed by ``labels`` when
+        they are given, otherwise by basis index (``degrees_by_index``)."""
         out: dict = {"verdict": self.verdict}
-        if self.witness is not None and alg is not None:
-            out["witness"] = self.witness.to_dict(alg)
+        if self.witness is not None and labels is not None:
+            out["witness"] = self.witness.to_dict(labels)
         elif self.witness is not None:
             out["witness"] = {"degrees_by_index": dict(sorted(
                 self.witness.degrees.items()))}
         if self.reason is not None:
             out["reason"] = self.reason
         if self.checks is not None:
-            out["checked_properties"] = self.checks.to_dict()
+            out["checked_properties"] = dict(
+                self.checks, interval=list(self.checks["interval"]))
         if self.search is not None:
             out["search"] = self.search
         return out
@@ -217,19 +192,26 @@ def _degree_reason(n: int, degs: list[int]) -> str | None:
 def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
     """Check the maximum-length properties of ``d`` exactly.
 
-    The report carries each property verdict; MaximumLength requires all.
+    ``checks`` holds a bool for each defining property (``nonempty`` and
+    ``dim_one`` repeat ``connected`` and ``distinct``), the attained
+    ``interval`` [lo, hi] and the closure ``offset``; MaximumLength requires
+    all.  Closure is checked up to a uniform integer offset: the assignment
+    passes when every nonzero product satisfies deg(target) = d_i + d_j - c
+    for one common c.  Subtracting c from every degree turns such a witness
+    into a literal gradation with [V_i, V_j] in V_{i+j}, so the verdict is
+    invariant under shifting all degrees by a constant (and under negation,
+    the k_s = -1 case).  A literal gradation reports offset 0.
     """
     n = alg.dim
     degs = d.degree_list(n)
     seen = sorted(set(degs))
     lo, hi = seen[0], seen[-1]
-    distinct = len(seen) == n
-    dim_one = distinct  # one basis vector per attained degree
-    connected = (hi - lo + 1) == len(seen)
-    nonempty = connected  # no empty component inside the covering interval
+    distinct = len(seen) == n  # one basis vector per attained degree
+    connected = hi - lo + 1 == len(seen)  # no empty component inside
     closure, offset = _closure_offset(alg._triples, degs)
-    checks = GradationChecks(closure, nonempty, dim_one, distinct, connected,
-                             (lo, hi), offset)
+    checks = {"closure": closure, "nonempty": connected, "dim_one": distinct,
+              "distinct": distinct, "connected": connected,
+              "interval": [lo, hi], "offset": offset}
     # distinct and connected already give an interval of size n
     reason = _degree_reason(n, degs) or (None if closure else REASON_CLOSURE)
     if reason is None:
@@ -287,30 +269,17 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
                             tuple(degrees), matrix, graded)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Isomorphism-invariant record; equality is necessary for isomorphism."""
-
-    dim: int
-    series_dims: tuple[int, ...]
-    char_seq: tuple[int, ...]
-    lie: bool
-    component_dims: tuple[int, ...]
-    square_ideal_dim: int
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "series_dims": list(self.series_dims),
-                "char_seq": list(self.char_seq), "is_lie": self.lie,
-                "component_dims": list(self.component_dims),
-                "square_ideal_dim": self.square_ideal_dim}
-
-
 def graded_fingerprint(alg: Algebra, samples: int = DEFAULT_SAMPLES,
-                       seed: int = DEFAULT_SEED) -> Fingerprint:
+                       seed: int = DEFAULT_SEED) -> dict:
+    """Isomorphism-invariant record as plain data: dim, central series
+    dims, characteristic sequence, whether the algebra is Lie, the natural
+    gradation's component dims and dim L^2.  Equality is necessary for
+    isomorphism."""
     cs = characteristic_sequence(alg, samples=samples, seed=seed)
-    return Fingerprint(alg.dim, lower_central_series(alg).dims, cs,
-                       is_lie(alg), natural_gradation(alg).component_dims,
-                       square_ideal(alg).dim)
+    return {"dim": alg.dim, "series_dims": list(lower_central_series(alg).dims),
+            "char_seq": list(cs), "is_lie": is_lie(alg),
+            "component_dims": list(natural_gradation(alg).component_dims),
+            "square_ideal_dim": square_ideal(alg).dim}
 
 
 # -- explicit witness for M4(1) ----------------------------------------------

@@ -55,7 +55,7 @@ def test_criterion_1_leibniz_suite(grid_algebras):
                 # a tau failure is acceptable only with a pinpointed triple
                 assert report.violations and report.violations[0].triple
             else:
-                assert report.ok, f"{spec.name()}: {report.describe(alg)}"
+                assert report.ok, f"{spec.name()}: {report.violations[:10]}"
         elapsed = time.time() - start
         assert elapsed < 5.0, f"criterion 1 took {elapsed:.2f}s"
 

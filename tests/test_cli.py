@@ -367,6 +367,60 @@ def test_invariants_reports_pinned(tmp_path, monkeypatch):
     assert invariants_report_hashes(tmp_path) == INVARIANTS_SHA256
 
 
+# sha256 of the file each command writes with the default seed (``-o``, or
+# ``--witness-out`` for ``catalog make``), and its exit code: the catalog
+# witness, a verified and a refuted assignment, both searches positive
+# (label-keyed witness) and negative, and a Leibniz violation.
+NON_LEIBNIZ = ('{"dim": 3, "basis": ["a", "b", "c"], "brackets": {"0,0": [[1, "1"]], '
+               '"1,0": [[2, "-3/2"]], "0,1": [[2, "1"]], "1,1": [[0, "1"]]}}')
+CLI_OUTPUT_SHA256 = {
+    "catalog make --witness-out": (
+        ["catalog", "make", "--family", "M5", "--n", "10", "--p", "4",
+         "--witness-out", "{out}"], 0,
+        "834a9fe72074eff1f21acbf718fc6836e35018a6a377bbc6304559ec8db9be7b"),
+    "grade verify witness": (
+        ["grade", "verify", "{m5}", "--assignment", "{witness}", "-o", "{out}"], 0,
+        "9a3aab38cbb74d41f39c9b30b0335b3124b6cfb80a7df371ac5c17582187725c"),
+    "grade verify refuted": (
+        ["grade", "verify", "{m5}", "--assignment", "{refuted}", "-o", "{out}"], 1,
+        "b6dc2c0b9e0c87de56ede062c3189f91d60f722ac63f6aeabf1fdb87c1a8e708"),
+    "grade diagonal M4(8,4,1)": (
+        ["grade", "diagonal", "{m4}", "-o", "{out}"], 0,
+        "a832c3bb05fe371b75b25491dd68592a78d898290868cdd3b27f8efe47a724e3"),
+    "grade diagonal M3(6,1)": (
+        ["grade", "diagonal", "{m3}", "-o", "{out}"], 1,
+        "bfd9456a948a5981e7fa579f78aeb44a716b0efe48426ddd26c285362a0b0a4d"),
+    "grade search M4(8,4,1)": (
+        ["grade", "search", "{m4}", "-o", "{out}"], 0,
+        "dfa6fcbd317d078d3589f106cb2b11eeb58e3e7e51bc88c1890beb3c3cda6757"),
+    "grade search M3(6,1)": (
+        ["grade", "search", "{m3}", "-o", "{out}"], 1,
+        "669340d7727ed8cd5c012d626b839f6142ba566cdd594937cd2018591ce753cd"),
+    "invariants non-Leibniz": (
+        ["invariants", "{table}", "-o", "{out}"], 1,
+        "4b28f13f8d83411fdff6427ce8a85b883c610f4be9bab41576a8bf6561d8b1bf"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_OUTPUT_SHA256)
+def test_cli_outputs_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("NILALG_SEED", raising=False)
+    paths = {"m5": tmp_path / "m5.json", "witness": tmp_path / "witness.json",
+             "m4": write_algebra(tmp_path, FamilySpec("M4", 8, 4, (), 1), "m4.json"),
+             "m3": write_algebra(tmp_path, FamilySpec("M3", 6, 1), "m3.json"),
+             "refuted": tmp_path / "refuted.json", "table": tmp_path / "table.json",
+             "out": tmp_path / "out.json"}
+    assert main(["catalog", "make", "--family", "M5", "--n", "10", "--p", "4",
+                 "-o", str(paths["m5"]), "--witness-out", str(paths["witness"])]) == 0
+    labels = make(FamilySpec("M5", 10, 4)).basis_labels
+    paths["refuted"].write_text(json.dumps(
+        {"degrees": {label: d for d, label in enumerate(labels, 1)}}))
+    paths["table"].write_text(NON_LEIBNIZ)
+    argv, code, expected = CLI_OUTPUT_SHA256[name]
+    assert main([a.format(**paths) for a in argv]) == code
+    assert hashlib.sha256(paths["out"].read_bytes()).hexdigest() == expected
+
+
 def test_reproduce_mismatch_exit_1(tmp_path):
     # M3 under thm33 expectations: search finds nothing, expected maximum_length
     grid = tmp_path / "grid.json"

@@ -344,7 +344,7 @@ def test_support_decides_closure_under_distinct_degrees(alg, seed, plain):
     adapted = change_of_basis(alg, sample.basis_matrix)
     for perm in permutations(range(alg.dim)):
         closes = verify_gradation(adapted, DegreeAssignment(dict(enumerate(perm))))
-        assert closes.checks.closure == (
+        assert closes.checks["closure"] == (
             support is not None and _closure_offset(support, perm)[0])
 
 
