@@ -118,9 +118,6 @@ class Subspace:
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return RowSpace(self.ambient_dim, self.basis).contains(vec)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
 
 @dataclass(frozen=True)
 class CentralSeries:

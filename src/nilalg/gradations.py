@@ -9,9 +9,9 @@ degrees are all distinct (components of dimension one), (c) the attained
 degrees form an integer interval, and (d) that interval has size dim(L).
 
 Two search strategies are provided, each over a fixed window that the
-report records.  ``diagonal_search`` exhaustively enumerates injective
-interval assignments in the given basis with bases -n..1 (``"window": n``;
-small dimensions only), pruning every prefix that already fails closure.
+report records.  ``diagonal_search`` solves literal closure in the given
+basis once with ``RowSpace`` and walks only the closed injective interval
+assignments with bases -n..1 (``"window": n``; small dimensions only).
 ``two_generator_search`` follows the adapted-basis scheme: pick
 homogeneous generators (one chain driver of degree 1 plus the remaining
 generators with unknown degrees), close them under bracketing while
@@ -96,12 +96,6 @@ class DegreeAssignment:
         if set(self.degrees) != set(range(n)):
             raise InvalidInputError("degree assignment is not total on the basis")
         return [self.degrees[i] for i in range(n)]
-
-    def shifted(self, c: int) -> "DegreeAssignment":
-        return DegreeAssignment({i: d + c for i, d in self.degrees.items()})
-
-    def negated(self) -> "DegreeAssignment":
-        return DegreeAssignment({i: -d for i, d in self.degrees.items()})
 
     def to_dict(self, labels: tuple[str, ...]) -> dict:
         return {"degrees": {labels[i]: self.degrees[i]
@@ -227,8 +221,7 @@ class NaturalGradation:
     """gr L = sum of L^i / L^{i+1} in a chosen homogeneous complement basis."""
 
     component_dims: tuple[int, ...]
-    degrees: tuple[int, ...]          # degree of each adapted basis vector
-    basis_matrix: tuple[Vector, ...]  # rows: adapted basis in original coords
+    degrees: tuple[int, ...]  # degree of each adapted basis vector
     graded_algebra: Algebra
 
 
@@ -255,9 +248,8 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
                 reps.append(row)
                 degrees.append(k + 1)
                 labels.append(alg.basis_labels[piv])
-    matrix = tuple(reps)
     table = {}
-    for (i, j), coords in change_of_basis(alg, matrix, labels).brackets.items():
+    for (i, j), coords in change_of_basis(alg, reps, labels).brackets.items():
         target = degrees[i] + degrees[j]
         projected = tuple(c if degrees[s] == target else ZERO
                           for s, c in enumerate(coords))
@@ -266,7 +258,7 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
     graded = Algebra(n, tuple(labels), table)
     return NaturalGradation(tuple(degrees.count(k + 1)
                                   for k in range(len(terms) - 1)),
-                            tuple(degrees), matrix, graded)
+                            tuple(degrees), graded)
 
 
 def graded_fingerprint(alg: Algebra, samples: int = DEFAULT_SAMPLES,
@@ -327,74 +319,71 @@ def m4_1_witness(n: int, p: int) -> DegreeAssignment:
 # -- exhaustive diagonal search ----------------------------------------------
 
 def diagonal_search(alg: Algebra) -> GradationReport:
-    """Enumerate every injective interval degree map with base -n..1.
+    """The first literally closed injective interval degree map with base
+    -n..1, in lexicographic order; guarded to dim <= 8.
 
-    Sound, and complete for gradations diagonal in this basis whose
-    degrees lie in [-n, n]; the report records that window as
-    ``"window": n``.  Guarded to dim <= 8 (the enumeration is n! per
-    interval).
-
-    The enumeration is exhaustive and pruned: bases ascend, and for each
-    base the permutations are walked in lexicographic order by assigning
-    indices 0, 1, ... depth first.  Each literal-closure check
-    deg(e_k) = deg(e_i) + deg(e_j), one per nonzero coefficient of
-    [e_i, e_j] on e_k, is tested as soon as index max(i, j, k) is assigned,
-    and a failing prefix skips its whole subtree.  A check naming index d
-    once (k = d gives d_i + d_j, i or j = d gives d_k minus the other) fixes
-    degs[d], so only that value is visited.  ``assignments_tried`` is
-    therefore the position in lexicographic order (a pruned subtree or a
-    skipped value counts all of its leaves), not a count of the work done.
+    Sound, and complete for gradations diagonal in this basis whose degrees
+    lie in [-n, n] (``"window": n`` in the report).  Literal closure is the
+    linear system d_i + d_j = d_k, one equation per nonzero coefficient of
+    [e_i, e_j] on e_k; its solutions are T_B.  A ``RowSpace`` solves it once
+    with the columns in reverse index order, so each reduced row pivots on
+    its highest index and ``vanishing_forms`` (a basis of T_B) fix each
+    pivot degree from the free degrees below it.  Bases ascend, and each
+    base's n! permutations are walked in lexicographic order by assigning
+    indices 0, 1, ... depth first: a free index takes every unused value, a
+    pivot index only its forced value, so every leaf is closed.
+    ``assignments_tried`` keeps its meaning, the position of the witness in
+    lexicographic order over all (n + 2) * n! leaves, or all of them for a
+    negative: it counts positions, not the work done.
     """
     n = alg.dim
     if n > 8:
         raise InvalidInputError(
             f"diagonal_search is limited to dim <= 8 (got {n})")
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, j, k in alg._triples:
-        checks[max(i, j, k)].append((i, j, k))
-    # a check naming index d once fixes degs[d] from the degrees before it
-    forcing = [next((t for t in ts if t.count(d) == 1), None)
-               for d, ts in enumerate(checks)]
-    leaves_below = [factorial(n - d - 1) for d in range(n)]
+    # column c stands for index n - 1 - c
+    space = RowSpace(n, ([(i == t) + (j == t) - (k == t) for t in reversed(range(n))]
+                         for i, j, k in alg._triples))
+    free_columns = [c for c in range(n) if c not in space.pivots]
+    forms = space.vanishing_forms()  # each is den at its own free column
+    den = forms[0][free_columns[0]] if forms else 1
+    # den * degs[t] is the sum of w * degs[e] over the pairs (e, w) in forced[t]
+    forced: list[list[tuple[int, int]] | None] = [None] * n
+    for c in space.pivots:
+        forced[n - 1 - c] = [(n - 1 - q, form[c])
+                             for q, form in zip(free_columns, forms) if form[c]]
     degs = [0] * n
-    tried = 0
 
-    def closed_leaves(d: int, free: list[int]):
+    def closed(d: int, free: list[int]):
         """Yield once per closed completion of degs[:d], in lexicographic order."""
-        nonlocal tried
-        lo, hi = 0, len(free)
-        if forcing[d] is not None:  # the values around it fail closure
-            i, j, k = forcing[d]
-            forced = (degs[i] + degs[j] if k == d
-                      else degs[k] - degs[j if i == d else i])
-            lo = free.index(forced) if forced in free else hi
-            hi = min(lo + 1, hi)
-        tried += lo * leaves_below[d]
-        for pos in range(lo, hi):
+        if forced[d] is None:
+            positions = range(len(free))
+        else:
+            value, rem = divmod(sum(w * degs[e] for e, w in forced[d]), den)
+            positions = (free.index(value),) if not rem and value in free else ()
+        for pos in positions:
             degs[d] = free[pos]
-            if any(degs[i] + degs[j] != degs[k] for i, j, k in checks[d]):
-                tried += leaves_below[d]
-            elif d == n - 1:
-                tried += 1
+            if d == n - 1:
                 yield
             else:
-                yield from closed_leaves(d + 1, free[:pos] + free[pos + 1:])
-        tried += (len(free) - hi) * leaves_below[d]
+                yield from closed(d + 1, free[:pos] + free[pos + 1:])
 
     # A closed leaf is injective onto n consecutive integers and literally
     # closed, hence maximum length; verify_gradation only supplies checks.
     for base in range(-n, 2):
-        for _ in closed_leaves(0, list(range(base, base + n))):
+        for _ in closed(0, list(range(base, base + n))):
+            rank = 0  # Lehmer rank of degs among the orders of its base
+            for d in range(n):
+                rank = rank * (n - d) + sum(v < degs[d] for v in degs[d + 1:])
             witness = DegreeAssignment(dict(enumerate(degs)))
             search = {"strategy": "diagonal", "window": n,
-                      "assignments_tried": tried}
+                      "assignments_tried": (base + n) * factorial(n) + rank + 1}
             return GradationReport(MAXIMUM_LENGTH, witness=witness,
                                    checks=verify_gradation(alg, witness).checks,
                                    search=search)
-    # the first closed leaf returns, so every leaf counted failed closure
+    # no leaf is closed, so every one counts as a closure failure
+    tried = (n + 2) * factorial(n)
     search = {"strategy": "diagonal", "window": n,
-              "assignments_tried": tried,
-              "closure_failures": tried,
+              "assignments_tried": tried, "closure_failures": tried,
               "note": "exhaustive over injective interval maps in the given basis"}
     return GradationReport(NO_GRADATION_FOUND, search=search)
 
@@ -440,10 +429,6 @@ class AdaptedBasisSample:
     rows: tuple[tuple[int, ...], ...]
     scales: tuple[tuple[int, int], ...]
     forms: tuple[tuple[int, ...], ...]
-
-    @property
-    def plain(self) -> bool:
-        return self.sample_index == 0
 
     @property
     def basis_matrix(self) -> tuple[Vector, ...]:
@@ -718,7 +703,8 @@ def two_generator_search(alg: Algebra, samples: int = 3,
             f"integer closure support of sample {found.sample_index} accepts "
             f"degrees {degs}, which the rational adapted algebra refutes")
     search.update(witness_at=list(kts), sample_index=found.sample_index,
-                  plain_sample=found.plain, adapted_basis_labels=list(labels),
+                  plain_sample=found.sample_index == 0,
+                  adapted_basis_labels=list(labels),
                   adapted_basis_matrix=_matrix_strings(found.basis_matrix))
     return GradationReport(MAXIMUM_LENGTH, witness=witness, checks=report.checks,
                            search=search)

@@ -147,16 +147,6 @@ class RowSpace:
                 return True
         return False
 
-    def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction] | None:
-        """Coefficients of ``vec`` in the ``rows()`` basis, or None if outside.
-
-        That basis is the identity on the pivot columns, so the coefficients
-        are the entries of ``vec`` there.
-        """
-        if not self.contains(vec):
-            return None
-        return [vec[p] for p in self.pivots]
-
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     nonzero = [(j, c) for j, c in enumerate(v) if c]

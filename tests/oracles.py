@@ -228,6 +228,16 @@ def rational_generators(alg: Algebra, roles: GeneratorRoles, rng: random.Random,
     return tuple(gens)
 
 
+def shifted(w: DegreeAssignment, c: int) -> DegreeAssignment:
+    """Every degree plus c."""
+    return DegreeAssignment({i: d + c for i, d in w.degrees.items()})
+
+
+def negated(w: DegreeAssignment) -> DegreeAssignment:
+    """Every degree negated."""
+    return DegreeAssignment({i: -d for i, d in w.degrees.items()})
+
+
 def brute_diagonal_search(alg: Algebra) -> GradationReport:
     """``diagonal_search`` without pruning: every base -n..1, every
     permutation in lexicographic order, each checked against every table

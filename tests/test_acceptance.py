@@ -30,9 +30,11 @@ from nilalg.linalg import identity
 from oracles import (
     conjugated_nilpotent,
     mat_mul,
+    negated,
     random_nilpotent_algebra,
     random_partition,
     rank,
+    shifted,
 )
 
 
@@ -187,10 +189,8 @@ def test_criterion_7_determinism_and_invariance():
             witness = known_witness(spec)
             assert verify_gradation(alg, witness).is_maximum_length
             for shift in (-7, -1, 1, 4, 30):
-                shifted = witness.shifted(shift)
-                assert verify_gradation(alg, shifted).is_maximum_length, \
+                assert verify_gradation(alg, shifted(witness, shift)).is_maximum_length, \
                     f"{spec.name()} shift {shift}"
-            negated = witness.negated()
-            assert verify_gradation(alg, negated).is_maximum_length, spec.name()
+            assert verify_gradation(alg, negated(witness)).is_maximum_length, spec.name()
             assert verify_gradation(
-                alg, negated.shifted(3)).is_maximum_length, spec.name()
+                alg, shifted(negated(witness), 3)).is_maximum_length, spec.name()

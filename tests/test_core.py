@@ -129,7 +129,7 @@ def test_is_lie(l_12_4, m1_8_4):
 
 
 def test_square_ideal_lie_is_zero(l_12_4):
-    assert square_ideal(l_12_4).is_zero()
+    assert square_ideal(l_12_4).dim == 0
 
 
 def test_square_ideal_m1(m1_8_4):
@@ -148,7 +148,7 @@ def test_square_ideal_m5_contains_x2(m5_10_4):
 def test_is_lie_implies_zero_square_ideal(grid_algebras):
     for spec, alg in grid_algebras.items():
         if is_lie(alg):
-            assert square_ideal(alg).is_zero(), spec.name()
+            assert square_ideal(alg).dim == 0, spec.name()
 
 
 # -- change of basis -----------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilalg import (
     Algebra,
@@ -32,7 +32,13 @@ from nilalg import (
 )
 from nilalg.linalg import identity
 
-from oracles import brute_diagonal_search, random_invertible, random_nilpotent_algebra
+from oracles import (
+    brute_diagonal_search,
+    negated,
+    random_invertible,
+    random_nilpotent_algebra,
+    shifted,
+)
 
 F = Fraction
 
@@ -84,10 +90,10 @@ def test_verify_partial_assignment_rejected(m1_8_4):
 @given(shift=st.integers(min_value=-20, max_value=20))
 def test_verify_shift_and_negation_invariance(shift, m5_10_4):
     w = known_witness(FamilySpec("M5", 10, 4))
-    assert verify_gradation(m5_10_4, w.shifted(shift)).is_maximum_length
-    assert verify_gradation(m5_10_4, w.negated()).is_maximum_length
+    assert verify_gradation(m5_10_4, shifted(w, shift)).is_maximum_length
+    assert verify_gradation(m5_10_4, negated(w)).is_maximum_length
     assert verify_gradation(
-        m5_10_4, w.negated().shifted(shift)).is_maximum_length
+        m5_10_4, shifted(negated(w), shift)).is_maximum_length
 
 
 # -- natural gradation ------------------------------------------------------------
@@ -200,8 +206,23 @@ def diagonal_cases(draw):
     return alg
 
 
+def _table(dim, products):
+    """``Algebra.from_products`` on labels e1..e<dim>, integer constants."""
+    return Algebra.from_products(
+        dim, tuple(f"e{i + 1}" for i in range(dim)),
+        {ij: [(k, F(c)) for k, c in targets] for ij, targets in products.items()})
+
+
 @settings(max_examples=60, deadline=None)
 @given(diagonal_cases())
+# [e3, e3] = e1: 2 d3 = d1, so an odd d1 leaves a remainder
+@example(_table(3, {(2, 2): [(0, 1)]}))
+# [e1, e2] = e1 forces d2 = 0
+@example(_table(3, {(0, 1): [(0, 1)]}))
+# [e1, e2] = [e1, e3] = e4 force d3 = d2 before e4 is reached
+@example(_table(4, {(0, 1): [(3, 1)], (0, 2): [(3, 1)]}))
+# [e2, e2] = [e2, e1] = -e3
+@example(_table(3, {(1, 1): [(2, -1)], (1, 0): [(2, -1)]}))
 def test_diagonal_pruned_matches_brute_force(alg):
     # witness, assignments_tried and closure_failures all match the
     # unpruned walk over every permutation
@@ -304,7 +325,7 @@ def test_search_negation_of_witness_verifies(m5_10_4):
     matrix = tuple(tuple(F(s) for s in row)
                    for row in report.search["adapted_basis_matrix"])
     adapted = change_of_basis(m5_10_4, matrix)
-    assert verify_gradation(adapted, report.witness.negated()).is_maximum_length
+    assert verify_gradation(adapted, negated(report.witness)).is_maximum_length
 
 
 def test_search_single_generator_chain():
