@@ -1,9 +1,9 @@
 """Exact-arithmetic invariants and maximum-length gradations of nilpotent Leibniz algebras."""
 
 from .core import (
+    MAX_DIM,
     Algebra,
     LeibnizReport,
-    Subspace,
     abelian_algebra,
     algebra_from_dict,
     algebra_from_json,
@@ -53,11 +53,11 @@ from .invariants import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "LeibnizReport", "Subspace", "FamilySpec", "DegreeAssignment",
+    "Algebra", "LeibnizReport", "FamilySpec", "DegreeAssignment",
     "GeneratorRoles", "GradationReport", "NaturalGradation", "CentralSeries",
     "NilalgError", "InvalidInputError", "NotNilpotentError",
     "DegenerateSampleError", "MAXIMUM_LENGTH", "NOT_MAXIMUM_LENGTH",
-    "NO_GRADATION_FOUND", "DEFAULT_SEED",
+    "NO_GRADATION_FOUND", "DEFAULT_SEED", "MAX_DIM",
     "abelian_algebra", "algebra_from_dict", "algebra_from_json",
     "algebra_to_dict", "algebra_to_json", "bracket", "chain_algebra",
     "change_of_basis", "check_leibniz", "is_lie", "square_ideal",

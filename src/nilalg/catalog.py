@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Algebra, load_json
+from .core import MAX_DIM, Algebra, load_json
 from .errors import InvalidInputError
 from .gradations import DegreeAssignment, GeneratorRoles, m4_1_witness
 
@@ -301,7 +301,11 @@ def full_r(spec: FamilySpec) -> tuple[int, ...]:
 
 
 def _validate(spec: FamilySpec):
-    """Raise InvalidInputError naming the first hypothesis ``spec`` violates."""
+    """Raise InvalidInputError on n > MAX_DIM or naming the first hypothesis
+    ``spec`` violates."""
+    if spec.n > MAX_DIM:
+        raise InvalidInputError(
+            f"{spec.name()}: n = {spec.n} is over the limit of {MAX_DIM}")
     if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
         _validate_lie(spec, full_r(spec))
         if spec.family == "Q" and (spec.n - spec.p) % 2 == 0:
@@ -347,7 +351,9 @@ def known_witness(spec: FamilySpec) -> DegreeAssignment | None:
 
 
 def generator_roles(spec: FamilySpec) -> GeneratorRoles:
-    """Generator layout for the adapted-basis search, per family."""
+    """Generator layout for the adapted-basis search, per family.  The
+    driver, basis index 0, gets degree one there, which loses M4(8,4,1):
+    its witness gives x1 degree n/(n-p) = 2 (see ``two_generator_search``)."""
     n, p = spec.n, spec.p
     m = n - p
     if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):

@@ -6,10 +6,10 @@ symmetry of any kind is assumed: Leibniz algebras are not antisymmetric,
 so (i, j) and (j, i) are independent keys.  Absent keys mean the product
 of those basis elements is zero.
 
-All scalars are ``fractions.Fraction``; equality of vectors, tables and
-subspaces is therefore exact and decidable.  Algebras, vectors and
-subspaces are immutable after construction and every operation is a pure
-function, so concurrent use needs no locking.
+All scalars are ``fractions.Fraction``; equality of vectors and tables and
+membership in a subspace are therefore exact.  Algebras and vectors are
+immutable, no routine adds to a ``RowSpace`` once it has returned it, and
+every operation is a pure function, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .linalg import (
     RowSpace,
     Vector,
     ZERO,
-    identity,
     invert,
     is_zero_vector,
     row_times_mat,
@@ -39,6 +38,10 @@ from .linalg import (
 # Python's default limit on int <-> str conversion; a larger numerator or
 # denominator could not be written back into a report.
 MAX_SCALAR_DIGITS = 4300
+
+# The largest dim of an algebra JSON or n of a family spec: a table holds up
+# to dim^2 vectors of length dim, built before any later check could fail.
+MAX_DIM = 128
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -95,42 +98,19 @@ def format_scalar(value: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """A subspace stored as its reduced-row-echelon basis.
-
-    The canonical storage makes equality of subspaces syntactic equality
-    of the dataclass, so subspaces are usable as dict keys / set members.
-    """
-
-    ambient_dim: int
-    basis: tuple[Vector, ...]
-    pivots: tuple[int, ...]
-
-    @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        space = RowSpace(ambient_dim, vectors)
-        return Subspace(ambient_dim, space.rows(), space.pivots)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return RowSpace(self.ambient_dim, self.basis).contains(vec)
-
-
-@dataclass(frozen=True)
 class CentralSeries:
-    """Terms of the descending central series, terms[0] = whole algebra."""
+    """Terms of the descending central series, terms[0] = whole algebra:
+    the ``RowSpace``s ``Algebra.central_series`` built, shared by every
+    reader and never added to after it returns."""
 
-    terms: tuple[Subspace, ...]
+    terms: tuple[RowSpace, ...]
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(t.dim for t in self.terms)
 
     @property
-    def derived_subalgebra(self) -> Subspace:
+    def derived_subalgebra(self) -> RowSpace:
         """L^2 = [L, L]."""
         return self.terms[1]
 
@@ -200,9 +180,8 @@ class Algebra:
         over integer rows v spanning L^k, read from ``integer_index`` (the
         table scaled by D changes no span) by right factor.  The rows that
         enlarge one ``RowSpace`` form a basis of L^{k+1} and feed the next
-        step, and the term's ``Subspace`` is that same ``RowSpace``'s
-        canonical reduced basis, so each term is eliminated once and equals
-        the span of its ``Fraction`` brackets.
+        step, and that ``RowSpace`` is the term, so each term is eliminated
+        once; its span is that of its ``Fraction`` brackets.
         """
         n = self.dim
         _, index = self.integer_index
@@ -213,8 +192,8 @@ class Algebra:
         for t, row in index.items():
             for j, entries in row:
                 right.setdefault(j, [()] * n)[t] = entries
-        terms = [Subspace(n, identity(n), tuple(range(n)))]
         basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        terms = [RowSpace(n, basis)]
         while basis:  # basis: integer rows spanning the last term
             space = RowSpace(n)
             image = []
@@ -226,7 +205,7 @@ class Algebra:
             if len(image) >= len(basis):
                 raise NotNilpotentError(
                     f"descending central sequence stalls at dimension {len(basis)}")
-            terms.append(Subspace(n, space.rows(), space.pivots))
+            terms.append(space)
             basis = image
         return CentralSeries(tuple(terms))
 
@@ -402,7 +381,7 @@ def is_lie(alg: Algebra) -> bool:
     return True
 
 
-def square_ideal(alg: Algebra) -> Subspace:
+def square_ideal(alg: Algebra) -> RowSpace:
     """Two-sided ideal generated by the squares [x, x].
 
     Seeded by [e_i, e_i] and the polarizations [e_i, e_j] + [e_j, e_i],
@@ -410,7 +389,7 @@ def square_ideal(alg: Algebra) -> Subspace:
     closed under bracketing with basis elements on the left.  That closes
     it on the right too: [v, x] = ([v, x] + [x, v]) - [x, v].  The brackets
     come from ``integer_index`` as D times the bracket, which spans the
-    same ideal.
+    same ideal.  The ``RowSpace`` the closure ran in is returned as it is.
     """
     n = alg.dim
     _, index = alg.integer_index
@@ -430,7 +409,7 @@ def square_ideal(alg: Algebra) -> Subspace:
         vec = frontier.pop()
         for left in right_columns(index, n, vec):  # D [e_i, vec]
             feed(left)
-    return Subspace(n, space.rows(), space.pivots)
+    return space
 
 
 def change_of_basis(alg: Algebra, m: Sequence[Sequence[Fraction]],
@@ -500,6 +479,8 @@ def algebra_from_dict(data: dict) -> Algebra:
     dim = data["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise InvalidInputError("'dim' must be a positive integer")
+    if dim > MAX_DIM:
+        raise InvalidInputError(f"'dim' is {dim}, over the limit of {MAX_DIM}")
     basis = data["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(s, str) for s in basis)):

@@ -243,7 +243,7 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
     labels: list[str] = []
     for k in range(len(terms) - 1):
         nxt_pivots = set(terms[k + 1].pivots)
-        for row, piv in zip(terms[k].basis, terms[k].pivots):
+        for row, piv in zip(terms[k].rows(), terms[k].pivots):
             if piv not in nxt_pivots:
                 reps.append(row)
                 degrees.append(k + 1)
@@ -579,13 +579,15 @@ def two_generator_search(alg: Algebra, samples: int = 3,
                          roles: GeneratorRoles | None = None) -> GradationReport:
     """Adapted-basis maximum-length search following the extension scheme.
 
-    The chain driver is normalized to degree k_s = 1 (the k_s = -1 case is
-    equivalent under negation of all degrees); every other generator gets
-    an unknown integer degree enumerated over [-2n, 2n], which the report
-    records as ``"kt_window": 2n``.  Sample 0 uses the plain generators;
-    ``samples`` further draws use generic rational coefficients to avoid
-    non-generic degeneration.  Witnesses are reported in the adapted basis
-    together with the change of basis, lowest unknown tuple first.
+    The chain driver gets degree k_s = 1 (k_s = -1 is the same under
+    negation of all degrees).  That is an assumption, not without loss:
+    M4(8,4,1) has x1 of degree 2 and y1 of degree 1, so the catalog roles
+    (driver x1) find nothing and ``roles=None`` (driver y1) finds it.  Every
+    other generator gets an unknown integer degree enumerated over
+    [-2n, 2n], which the report records as ``"kt_window": 2n``.  Sample 0
+    uses the plain generators, ``samples`` further draws generic rational
+    coefficients against degeneration.  Witnesses are reported in the
+    adapted basis with its change of basis, lowest unknown tuple first.
 
     The draws, the closures and every closure check run on Python ints
     (see ``AdaptedBasisSample``).  Only the sample that closes gets its

@@ -162,12 +162,12 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     D^k R_x^k and leaves every rank, hence every C(x), unchanged.  The
     draws come from ``draw_scaled_rationals``, which reproduces the
     ``randint`` stream from ``getrandbits``.  Membership in L^2 is read
-    from the integer forms that vanish on it (``RowSpace.vanishing_forms``,
-    built once per sweep), so each test is a few dot products; ranks come
-    from ``RowSpace``, which eliminates fraction-free on integers, so no
-    ``Fraction`` enters the loop.  ``char_seq_at`` and
-    ``nilpotent_block_profile`` remain the ``Fraction`` reference for a
-    single vector.
+    from the integer forms that vanish on it, the ``vanishing_forms`` of
+    the series' own ``RowSpace`` for L^2, built once per sweep, so each
+    test is a few dot products; ranks come from ``RowSpace``, which
+    eliminates fraction-free on integers, so no ``Fraction`` enters the
+    loop.  ``char_seq_at`` and ``nilpotent_block_profile`` remain the
+    ``Fraction`` reference for a single vector.
 
     Candidates are visited in that order and each is dropped as soon as it
     cannot beat the best sequence so far.  This is exact: R_x^k(L) lies in
@@ -198,7 +198,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     l2 = lower_central_series(alg).derived_subalgebra
     if l2.dim == n:
         raise InvalidInputError("L^2 = L: the algebra has no generators")
-    forms = RowSpace(n, l2.basis).vanishing_forms()
+    forms = l2.vanishing_forms()
     _, index = alg.integer_index
     bounds: dict[tuple[int, ...], tuple[int, ...]] = {}
     best = ceiling = None
@@ -242,7 +242,7 @@ def _rank_ceiling(alg: Algebra) -> int:
     on a nilpotent algebra with L^2 != 0, and r_bar = 0 when L^2 = 0."""
     n = alg.dim
     terms = lower_central_series(alg).terms
-    forms = RowSpace(n, terms[2].basis if len(terms) > 2 else ()).vanishing_forms()
+    forms = (terms[2] if len(terms) > 2 else RowSpace(n)).vanishing_forms()
     _, index = alg.integer_index
     rows: dict[tuple[int, int], list[int]] = {}
     for i, entries in index.items():

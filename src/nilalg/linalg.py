@@ -174,10 +174,6 @@ def row_times_mat(v: Sequence[Fraction],
     return tuple(out)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(unit_vector(n, i) for i in range(n))
-
-
 def invert(m: Sequence[Sequence[Fraction]]) -> Matrix | None:
     """Exact inverse, or None if m is singular.
 

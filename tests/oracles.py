@@ -31,7 +31,6 @@ from nilalg import (
     Algebra,
     InvalidInputError,
     NotNilpotentError,
-    Subspace,
     char_seq_at,
 )
 from nilalg.gradations import (
@@ -47,7 +46,7 @@ from nilalg.invariants import (
     DEFAULT_SEED,
     CentralSeries,
 )
-from nilalg.linalg import identity, unit_vector
+from nilalg.linalg import RowSpace, unit_vector
 
 ZERO = Fraction(0)
 
@@ -68,6 +67,10 @@ def dense_bracket(alg: Algebra, x, y) -> tuple:
 
 def unit(n: int, i: int) -> tuple:
     return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def identity(n: int) -> tuple:
+    return tuple(unit(n, i) for i in range(n))
 
 
 def dense_leibniz_violations(alg: Algebra) -> tuple:
@@ -279,12 +282,12 @@ def fraction_lower_central_series(alg: Algebra) -> CentralSeries:
     L^k, by ``dense_bracket``, until the first zero term; raises
     NotNilpotentError when the dimensions stall above zero."""
     n = alg.dim
-    whole = Subspace(n, identity(n), tuple(range(n)))
+    whole = RowSpace(n, identity(n))
     terms = [whole]
     current = whole
     while current.dim > 0:
-        nxt = Subspace.span(n, (dense_bracket(alg, vec, unit(n, j))
-                                for vec in current.basis for j in range(n)))
+        nxt = RowSpace(n, (dense_bracket(alg, vec, unit(n, j))
+                           for vec in current.rows() for j in range(n)))
         if nxt.dim >= current.dim:
             raise NotNilpotentError(
                 f"descending central sequence stalls at dimension {current.dim}")
@@ -304,7 +307,7 @@ def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMP
                                        seed: int = DEFAULT_SEED) -> tuple[int, ...]:
     """``characteristic_sequence`` without pruning: the same candidates in
     the same order, each given its full C(x) by ``char_seq_at``, with
-    membership in L^2 tested by ``Subspace.contains`` on the ``Fraction``
+    membership in L^2 tested by ``RowSpace.contains`` on the ``Fraction``
     series."""
     n = alg.dim
     series = fraction_lower_central_series(alg)

@@ -25,10 +25,10 @@ from nilalg import (
     verify_gradation,
 )
 from nilalg.cli import run_pipeline
-from nilalg.linalg import identity
 
 from oracles import (
     conjugated_nilpotent,
+    identity,
     mat_mul,
     negated,
     random_nilpotent_algebra,

@@ -8,8 +8,10 @@ import pytest
 
 from nilalg.cli import main, run_pipeline
 from nilalg import (
+    MAX_DIM,
     Algebra,
     FamilySpec,
+    algebra_from_dict,
     algebra_to_json,
     change_of_basis,
     diagonal_search,
@@ -447,6 +449,29 @@ def test_reproduce_empty_grid_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: grid is empty: no instance to check\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_oversized_dimension_exit_2(tmp_path, capsys, monkeypatch):
+    # n or dim over MAX_DIM is refused before any table is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("an oversized algebra was built")
+
+    monkeypatch.setattr(Algebra, "from_products", staticmethod(no_build))
+    n = MAX_DIM + 1
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"family": "M5", "n": n, "p": 4}]))
+    labels = [f"e{i + 1}" for i in range(n)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": n, "basis": labels, "brackets": {"0,0": [[1, "1"]]}}))
+    assert main(["catalog", "make", "--family", "M5", "--n", str(n), "--p", "4"]) == 2
+    assert main(["reproduce", "--theorem", "thm34", "--grid", str(grid)]) == 2
+    assert main(["invariants", str(big)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: M5({n}, 4): n = {n} is over the limit of {MAX_DIM}"] * 2 + [
+        f"error: 'dim' is {n}, over the limit of {MAX_DIM}"]
+    monkeypatch.undo()
+    assert algebra_from_dict({"dim": MAX_DIM, "basis": labels[:-1], "brackets": {}}).dim \
+        == MAX_DIM
 
 
 BOOL_SPECS = (

@@ -22,7 +22,9 @@ from nilalg import (
     make,
     square_ideal,
 )
-from nilalg.linalg import identity, zero_vector
+from nilalg.linalg import zero_vector
+
+from oracles import identity
 
 F = Fraction
 

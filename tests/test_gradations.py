@@ -30,10 +30,10 @@ from nilalg import (
     two_generator_search,
     verify_gradation,
 )
-from nilalg.linalg import identity
 
 from oracles import (
     brute_diagonal_search,
+    identity,
     negated,
     random_invertible,
     random_nilpotent_algebra,
@@ -307,6 +307,28 @@ def test_search_m5_finds_known_witness(m5_10_4):
     labels = report.search["adapted_basis_labels"]
     degs = {labels[i]: d for i, d in report.witness.degrees.items()}
     assert degs["y1"] == -1 and degs["z1"] == 0 and degs["y2"] == 7
+
+
+def test_search_driver_degree_one_loses_m4_1_positive():
+    # The scheme gives the chain driver degree one.  M4(8,4,1) is of maximum
+    # length, with x1 of degree 2 and y1 of degree 1, so with x1 as driver
+    # (the catalog roles) no tuple closes; with y1 as driver it is found.
+    spec = FamilySpec("M4", 8, 4, (), 1)
+    alg = make(spec)
+    witness = known_witness(spec)
+    assert verify_gradation(alg, witness).is_maximum_length
+    degrees = witness.to_dict(alg.basis_labels)["degrees"]
+    assert degrees["x1"] == 2 and degrees["y1"] == 1
+    roles = generator_roles(spec)
+    assert alg.basis_labels[roles.driver] == "x1"
+    report = two_generator_search(alg, roles=roles)
+    assert report.verdict == NO_GRADATION_FOUND
+    assert sum(report.search["reason_counts"].values()) == 1089
+    report = two_generator_search(alg)
+    assert report.verdict == MAXIMUM_LENGTH
+    assert report.search["witness_at"] == [2, 5]
+    assert report.search["adapted_basis_labels"][:2] == ["y1", "x1"]
+    assert report.witness.degrees[0] == 1 and report.witness.degrees[1] == 2
 
 
 def test_search_witness_reverifies_in_adapted_basis(m4_10_4_0):

@@ -19,12 +19,16 @@ from nilalg import (
     change_of_basis,
     char_seq_at,
     characteristic_sequence,
+    generator_roles,
+    graded_fingerprint,
     is_p_filiform,
     lower_central_series,
     make,
+    natural_gradation,
     nilindex,
     nilpotent_block_profile,
     right_mult_matrix,
+    two_generator_search,
 )
 from nilalg import invariants
 from nilalg.catalog import FAMILIES
@@ -34,6 +38,7 @@ from oracles import (
     conjugated_nilpotent,
     exhaustive_characteristic_sequence,
     fraction_lower_central_series,
+    identity,
     jordan_nilpotent,
     lie_family_series_dims,
     random_invertible,
@@ -138,7 +143,6 @@ def test_profile_m1_right_mult(m1_8_4):
 
 
 def test_profile_rejects_non_nilpotent():
-    from nilalg.linalg import identity
     with pytest.raises(InvalidInputError):
         nilpotent_block_profile(identity(4))
 
@@ -400,8 +404,14 @@ def _to_integers(x):
 @settings(max_examples=60, deadline=None)
 @given(rational_tables())
 def test_integer_series_matches_fraction_reference(alg):
-    # every term is the same canonical Subspace as the Fraction series gives
-    assert lower_central_series(alg) == fraction_lower_central_series(alg)
+    # every term has the same reduced basis as the Fraction series gives
+    assert _terms(lower_central_series(alg)) == _terms(fraction_lower_central_series(alg))
+
+
+def _terms(series):
+    """Each term's reduced basis and pivots: ``CentralSeries`` equality
+    would compare the ``RowSpace`` objects by identity."""
+    return [(t.rows(), t.pivots) for t in series.terms]
 
 
 def _catalog_specs(n_max):
@@ -428,10 +438,24 @@ def _catalog_specs(n_max):
 def test_integer_series_matches_fraction_reference_on_catalog():
     families = set()
     for spec, alg in _catalog_specs(11):
-        assert lower_central_series(alg) == fraction_lower_central_series(alg), \
-            spec.name()
+        assert (_terms(lower_central_series(alg))
+                == _terms(fraction_lower_central_series(alg))), spec.name()
         families.add(spec.family)
     assert families == set(FAMILIES)
+
+
+def test_series_terms_are_not_written_by_readers(grid_algebras):
+    # every reader shares the algebra's own term RowSpaces, so none may add
+    # to them: the same objects keep the same reduced bases throughout
+    for spec, alg in grid_algebras.items():
+        terms = lower_central_series(alg).terms
+        before = _terms(lower_central_series(alg))
+        assert is_p_filiform(alg, spec.p), spec.name()
+        graded_fingerprint(alg)
+        natural_gradation(alg)
+        two_generator_search(alg, samples=0, roles=generator_roles(spec))
+        assert lower_central_series(alg).terms is terms, spec.name()
+        assert _terms(lower_central_series(alg)) == before, spec.name()
 
 
 def test_integer_series_rejects_non_nilpotent_tables():

@@ -5,9 +5,9 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
-from nilalg.linalg import RowSpace, identity, invert, unit_vector
+from nilalg.linalg import RowSpace, invert, unit_vector
 
-from oracles import dense_invert, mat_mul, rank
+from oracles import dense_invert, identity, mat_mul, rank
 
 F = Fraction
 
