@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -325,42 +326,45 @@ class LeibnizReport:
 def check_leibniz(alg: Algebra) -> LeibnizReport:
     """Evaluate [x,[y,z]] = [[x,y],z] - [[x,z],y] on all n^3 basis triples.
 
-    Each term of the defect at (i, j, k) contains one of the table entries
-    (j, k), (i, j) or (i, k), so triples where all three are zero have zero
-    defect by bilinearity and are skipped; the rest run in (i, j, k) order.
-    A triple's defect is accumulated sparsely from the pair view
-    (i, j) -> ((k, D*c), ...) of ``integer_index``: each term is a sum of
-    products of two structure constants, so the integer sum, added into a
-    dict keyed by basis index, is D^2 times the defect.  The dense
-    ``Fraction`` defect, that sum over D^2, is built only for a violation.
+    Every product in the defect at (i, j, k), [e_i,[e_j,e_k]] -
+    [[e_i,e_j],e_k] + [[e_i,e_k],e_j], is a path through two entries of
+    ``integer_index`` that starts at left factor e_i, so the check joins the
+    table's support one i at a time, ascending: each entry [e_i, e_j] meets
+    the entries [e_p, e_q] with e_j in their support (``by_target``) in the
+    first term at (p, q), and each [e_t, e_k] with e_t in its own support in
+    the second term at (j, k) and the third at (k, j).  The integer sums per
+    pair are D^2 times the defect; the pairs with a nonzero sum, sorted, are
+    the violations in (i, j, k) order, with the ``Fraction`` defect, that
+    sum over D^2.
     """
     n = alg.dim
     den, index = alg.integer_index
-    pairs = {(i, j): terms for i, row in index.items() for j, terms in row}
-    right_of = [set() for _ in range(n)]  # right_of[i]: j with [e_i, e_j] != 0
-    for i, j in pairs:
-        right_of[i].add(j)
+    by_target: dict[int, list[tuple[int, int, int]]] = {}
+    for j, row in index.items():
+        for k, terms in row:
+            for t, a in terms:
+                by_target.setdefault(t, []).append((j, k, a))
     violations = []
-    for i in range(n):
-        for j in range(n):
-            ij = pairs.get((i, j), ())  # [e_i, e_j]
-            ks = range(n) if ij else sorted(right_of[i] | right_of[j])
-            for k in ks:
-                acc: dict[int, int] = {}
-                for t, a in pairs.get((j, k), ()):  # [e_i, [e_j, e_k]]
-                    for m, b in pairs.get((i, t), ()):
-                        acc[m] = acc.get(m, 0) + a * b
-                for t, a in ij:  # - [[e_i, e_j], e_k]
-                    for m, b in pairs.get((t, k), ()):
-                        acc[m] = acc.get(m, 0) - a * b
-                for t, a in pairs.get((i, k), ()):  # + [[e_i, e_k], e_j]
-                    for m, b in pairs.get((t, j), ()):
-                        acc[m] = acc.get(m, 0) + a * b
-                if any(acc.values()):
-                    defect = [ZERO] * n
-                    for m, c in acc.items():
-                        defect[m] = Fraction(c, den * den)
-                    violations.append(LeibnizViolation((i, j, k), tuple(defect)))
+    for i in sorted(index):
+        acc: dict[tuple[int, int], list[int]] = defaultdict(([0] * n).copy)
+        for j, left in index[i]:  # D [e_i, e_j] = sum of b e_m over left
+            for p, q, a in by_target.get(j, ()):  # [e_i, [e_p, e_q]]
+                sums = acc[(p, q)]
+                for m, b in left:
+                    sums[m] += a * b
+            for t, a in left:  # [[e_i, e_j], e_k] from a [e_t, e_k]
+                for k, right in index.get(t, ()):
+                    minus = acc[(j, k)]  # at (i, j, k)
+                    plus = acc[(k, j)]  # [[e_i, e_k], e_j] at (i, k, j)
+                    for m, b in right:
+                        c = a * b
+                        minus[m] -= c
+                        plus[m] += c
+        for jk in sorted(acc):
+            sums = acc[jk]
+            if any(sums):
+                violations.append(LeibnizViolation(
+                    (i,) + jk, tuple(Fraction(c, den * den) for c in sums)))
     return LeibnizReport(tuple(violations))
 
 

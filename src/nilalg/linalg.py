@@ -61,13 +61,15 @@ class RowSpace:
     content and zero at the pivots (first nonzero columns) of the rows
     before it, so eliminating in list order clears every pivot: the residue
     is zero iff a vector lies in the span.  ``rows()`` builds the canonical
-    reduced row echelon basis from them on demand.
+    reduced row echelon basis from them on demand; the back-substitution it
+    rests on is kept until the span grows.
     """
 
     def __init__(self, ncols: int, rows: Iterable[Sequence[Fraction]] = ()):
         self.ncols = ncols
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._reduced: list[tuple[int, list[int]]] | None = None
         for row in rows:
             self.add(row)
 
@@ -95,14 +97,17 @@ class RowSpace:
         its pivot entries.
 
         The last row inserted is zero at every other pivot; each earlier row
-        is cleared at the later pivots by the rows already reduced.
+        is cleared at the later pivots by the rows already reduced.  The
+        result is computed once per span and shared by later calls.
         """
-        pivots: list[int] = []
-        done: list[list[int]] = []
-        for p, row in zip(reversed(self._pivots), reversed(self._rows)):
-            done.append(_cleared(row, pivots, done))
-            pivots.append(p)
-        return sorted(zip(pivots, done))
+        if self._reduced is None:
+            pivots: list[int] = []
+            done: list[list[int]] = []
+            for p, row in zip(reversed(self._pivots), reversed(self._rows)):
+                done.append(_cleared(row, pivots, done))
+                pivots.append(p)
+            self._reduced = sorted(zip(pivots, done))
+        return self._reduced
 
     def rows(self) -> Matrix:
         """The reduced row echelon basis, in pivot order."""
@@ -144,6 +149,7 @@ class RowSpace:
                 g = gcd(*v)
                 self._rows.append([s // g for s in v] if g > 1 else v)
                 self._pivots.append(pivot)
+                self._reduced = None
                 return True
         return False
 

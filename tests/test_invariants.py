@@ -1,6 +1,7 @@
 """Lower central series, nilindex, Jordan profiles, characteristic sequences."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -30,7 +31,7 @@ from nilalg import (
     right_mult_matrix,
     two_generator_search,
 )
-from nilalg import invariants
+from nilalg import invariants, linalg
 from nilalg.catalog import FAMILIES
 from nilalg.linalg import unit_vector, zero_vector
 
@@ -456,6 +457,30 @@ def test_series_terms_are_not_written_by_readers(grid_algebras):
         two_generator_search(alg, samples=0, roles=generator_roles(spec))
         assert lower_central_series(alg).terms is terms, spec.name()
         assert _terms(lower_central_series(alg)) == before, spec.name()
+
+
+def test_series_terms_are_reduced_once():
+    # natural_gradation reads rows() of every nonzero term, and
+    # characteristic_sequence the vanishing forms of L^2 and L^3; a term's
+    # back-substitution, which passes each stored row to linalg._cleared
+    # once, runs on its first read only
+    alg = make(FamilySpec("M4", 12, 6, (), 1))
+    terms = lower_central_series(alg).terms
+    stored = {id(row) for term in terms for row in term._rows}
+    cleared = Counter()
+    real = linalg._cleared
+
+    def counted(v, pivots, rows):
+        if id(v) in stored:
+            cleared[id(v)] += 1
+        return real(v, pivots, rows)
+
+    with mock.patch.object(linalg, "_cleared", counted):
+        for _ in range(2):
+            natural_gradation(alg)
+            characteristic_sequence(alg)
+    assert len(terms) > 3
+    assert cleared == Counter(stored)
 
 
 def test_integer_series_rejects_non_nilpotent_tables():

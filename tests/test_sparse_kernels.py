@@ -2,12 +2,14 @@
 
 Every kernel that walks only nonzeros (the bracket routines, change of
 basis and the squares ideal over the algebra's integer index, the Leibniz
-sweep over triples that touch a table entry, sparse RREF rows, membership
-in L^2 against its reduced basis, the integer adapted-basis closure
-that skips old x old pairs, and its closure support) is compared with the
-dense ``Fraction`` loops in ``oracles`` on small random nilpotent tables,
-Leibniz or not, on the same tables with non-integer structure constants,
-and on catalog algebras under a random invertible change of basis.
+check as a join of table entries over their shared basis indices, sparse
+RREF rows, membership in L^2 against its reduced basis, the integer
+adapted-basis closure that skips old x old pairs, and its closure support)
+is compared with the dense ``Fraction`` loops in ``oracles`` on small
+random nilpotent tables, Leibniz or not, on the same tables with
+non-integer structure constants, and on catalog algebras under a random
+invertible change of basis; the Leibniz check also on tables with no
+structure at all, self-brackets and cycles included.
 """
 
 import random
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nilalg import (
     Algebra,
@@ -137,12 +139,38 @@ def test_square_ideal_matches_dense_closure(alg):
     assert (ideal.rows(), ideal.pivots) == dense_square_ideal(alg)
 
 
-@settings(max_examples=20, deadline=None)
-@given(algebras())
+def assert_violations_match_dense(alg):
+    violations = check_leibniz(alg).violations
+    triples = [v.triple for v in violations]
+    assert triples == sorted(triples)
+    assert all(type(c) is Fraction for v in violations for c in v.defect)
+    assert tuple((v.triple, v.defect) for v in violations) == dense_leibniz_violations(alg)
+    return triples
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """A table of dim 1-5 with no structure: any entry may hit any basis
+    vector, so self-brackets such as [e_i, e_i] = e_i and cycles of
+    brackets through a target that is also a factor occur."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    index = st.integers(min_value=0, max_value=n - 1)
+    coeff = st.sampled_from((F(0), F(0), F(1), F(-1), F(2), F(-3, 2)))
+    entries = draw(st.dictionaries(st.tuples(index, index),
+                                   st.lists(coeff, min_size=n, max_size=n).map(tuple),
+                                   max_size=n * n))
+    return Algebra(n, tuple(f"e{i + 1}" for i in range(n)),
+                   {key: vec for key, vec in entries.items() if any(vec)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(algebras(), rational_tables(), arbitrary_tables()))
+@example(Algebra.from_products(2, ("e1", "e2"), {
+    (0, 0): [(0, F(1))], (0, 1): [(1, F(2, 3))], (1, 0): [(0, F(-1))]}))
 def test_leibniz_violations_match_full_sweep(alg):
-    report = check_leibniz(alg)
-    got = tuple((v.triple, v.defect) for v in report.violations)
-    assert got == dense_leibniz_violations(alg)
+    # same triples, in the same order, with the same Fraction defects; the
+    # pinned example has [e1, e1] = e1, [e1, e2] in <e2> and [e2, e1] in <e1>
+    assert_violations_match_dense(alg)
 
 
 def test_leibniz_sweep_sees_non_leibniz_tables():
@@ -156,15 +184,6 @@ def test_leibniz_sweep_sees_non_leibniz_tables():
             assert tuple((v.triple, v.defect) for v in got) == expected
             return
     raise AssertionError("no non-Leibniz table among the seeds")
-
-
-def assert_violations_match_dense(alg):
-    violations = check_leibniz(alg).violations
-    triples = [v.triple for v in violations]
-    assert triples == sorted(triples)
-    assert all(type(c) is Fraction for v in violations for c in v.defect)
-    assert tuple((v.triple, v.defect) for v in violations) == dense_leibniz_violations(alg)
-    return triples
 
 
 def test_leibniz_exact_cancellation_is_no_violation():
