@@ -51,9 +51,19 @@ class FamilySpec:
     alpha: int | None = None
 
     def __post_init__(self):
+        """Refuse a field of the wrong type, bools included (JSON ``true``
+        loads as an int); a list ``r`` is kept as a tuple."""
         if self.family not in FAMILIES:
             raise InvalidInputError(
                 f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
+        for key in ("n", "p"):
+            if not _is_int(getattr(self, key)):
+                raise InvalidInputError(f"family spec {key!r} must be an integer")
+        if not (isinstance(self.r, (tuple, list)) and all(map(_is_int, self.r))):
+            raise InvalidInputError("family spec 'r' must be a list of integers")
+        object.__setattr__(self, "r", tuple(self.r))
+        if self.alpha is not None and not _is_int(self.alpha):
+            raise InvalidInputError("family spec 'alpha' must be an integer or null")
 
     def name(self) -> str:
         parts = [str(self.n), str(self.p)]
@@ -71,20 +81,9 @@ class FamilySpec:
     def from_dict(data: dict) -> "FamilySpec":
         if not isinstance(data, dict) or "family" not in data:
             raise InvalidInputError("family spec JSON must be an object with 'family'")
-        for key in ("n", "p"):
-            if not _is_int(data.get(key)):
-                raise InvalidInputError(f"family spec {key!r} must be an integer")
         r = data.get("r")
-        if r is None:
-            r = ()
-        elif isinstance(r, list) and all(map(_is_int, r)):
-            r = tuple(r)
-        else:
-            raise InvalidInputError("family spec 'r' must be a list of integers")
-        alpha = data.get("alpha")
-        if alpha is not None and not (_is_int(alpha) and alpha in (0, 1)):
-            raise InvalidInputError("family spec 'alpha' must be 0, 1 or null")
-        return FamilySpec(data["family"], data["n"], data["p"], r, alpha)
+        return FamilySpec(data["family"], data.get("n"), data.get("p"),
+                          () if r is None else r, data.get("alpha"))
 
     @staticmethod
     def from_json(text: str) -> "FamilySpec":

@@ -120,13 +120,15 @@ class CentralSeries:
 class Algebra:
     """Finite-dimensional algebra over Q given by a sparse bracket table.
 
-    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  Two derived
-    facts are built on first use and kept: ``integer_index``, which every
+    ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  It is
+    scanned once, at construction: ``_entries`` maps each nonzero [e_i, e_j]
+    to its nonzero terms ((k, c), ...), c the coefficient of e_k, in
+    ``brackets`` order, and ``_triples`` lists every such (i, j, k), for
+    degree checks that need only the support.  Two derived facts are built
+    from ``_entries`` on first use and kept: ``integer_index``, which every
     bracket routine reads (D, the least common denominator of the structure
     constants, and the table scaled by D, with i mapped to
-    [(j, ((k, D*c), ...))] listing only the nonzero coefficients c of e_k in
-    [e_i, e_j]), and ``central_series``.  ``_triples`` lists every (i, j, k)
-    with such a coefficient, for degree checks that need only the support.
+    [(j, ((k, D*c), ...))]), and ``central_series``.
     """
 
     dim: int
@@ -140,7 +142,7 @@ class Algebra:
             raise InvalidInputError("basis_labels length must equal dim")
         if len(set(self.basis_labels)) != self.dim:
             raise InvalidInputError("basis labels must be distinct")
-        triples: list[tuple[int, int, int]] = []
+        entries: dict[tuple[int, int], tuple] = {}
         for (i, j), vec in self.brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise InvalidInputError(f"bracket index ({i},{j}) out of range")
@@ -148,26 +150,29 @@ class Algebra:
                 raise InvalidInputError(
                     f"bracket ({i},{j}) value has length {len(vec)}, "
                     f"expected {self.dim}")
-            triples.extend((i, j, k) for k, c in enumerate(vec) if c)
-        object.__setattr__(self, "_triples", tuple(triples))
+            terms = tuple((k, c) for k, c in enumerate(vec) if c)
+            if terms:
+                entries[(i, j)] = terms
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_triples", tuple(
+            (i, j, k) for (i, j), terms in entries.items() for k, _ in terms))
 
     @cached_property
     def integer_index(self) -> tuple[int, dict[int, list]]:
         """(D, index): index[i] lists (j, ((k, D*c), ...)) for each nonzero
         [e_i, e_j], in ``brackets`` order, D the least common denominator of
-        the structure constants c.
+        the structure constants c, read from ``_entries``.
 
         On integer vectors the routines below then compute D times the
         bracket, which has the same span and the same support.
         """
-        den = lcm(1, *(c.denominator for vec in self.brackets.values()
-                       for c in vec if c))
+        den = lcm(1, *(c.denominator for terms in self._entries.values()
+                       for _, c in terms))
         index: dict[int, list] = {}
-        for (i, j), vec in self.brackets.items():
-            terms = tuple((k, c.numerator * (den // c.denominator))
-                          for k, c in enumerate(vec) if c)
-            if terms:
-                index.setdefault(i, []).append((j, terms))
+        for (i, j), terms in self._entries.items():
+            index.setdefault(i, []).append(
+                (j, tuple((k, c.numerator * (den // c.denominator))
+                          for k, c in terms)))
         return den, index
 
     @cached_property
@@ -178,31 +183,31 @@ class Algebra:
         strictly decreasing before reaching zero.
 
         The series runs on Python integers: L^{k+1} is spanned by [v, e_j]
-        over integer rows v spanning L^k, read from ``integer_index`` (the
-        table scaled by D changes no span) by right factor.  The rows that
-        enlarge one ``RowSpace`` form a basis of L^{k+1} and feed the next
-        step, and that ``RowSpace`` is the term, so each term is eliminated
-        once; its span is that of its ``Fraction`` brackets.
+        over integer rows v spanning L^k and every j, read from
+        ``integer_index`` (the table scaled by D changes no span).  One walk
+        of v's nonzeros v_t through the entries [e_t, e_j] gives [v, e_j]
+        for every right factor j at once, and these go into one
+        ``RowSpace`` in ascending j.  The rows that enlarge it form a basis
+        of L^{k+1} and feed the next step, and that ``RowSpace`` is the
+        term, so each term is eliminated once; its span is that of its
+        ``Fraction`` brackets.
         """
         n = self.dim
         _, index = self.integer_index
-        # The index read by right factor: right[j][t] lists [e_t, e_j], so
-        # [v, e_j] = right_image(right[j], v).  A right factor e_j that
-        # annihilates everything gets no entry.
-        right: dict[int, list] = {}
-        for t, row in index.items():
-            for j, entries in row:
-                right.setdefault(j, [()] * n)[t] = entries
-        basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        basis = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
         terms = [RowSpace(n, basis)]
         while basis:  # basis: integer rows spanning the last term
             space = RowSpace(n)
             image = []
             for v in basis:
-                for cols in right.values():
-                    w = right_image(cols, v)
-                    if space.add(w):
-                        image.append(w)
+                images: dict[int, list[int]] = defaultdict(([0] * n).copy)
+                for t, c in enumerate(v):
+                    if c:
+                        for j, entries in index.get(t, ()):
+                            w = images[j]  # [v, e_j]
+                            for k, a in entries:
+                                w[k] += c * a
+                image.extend(w for _, w in sorted(images.items()) if space.add(w))
             if len(image) >= len(basis):
                 raise NotNilpotentError(
                     f"descending central sequence stalls at dimension {len(basis)}")
@@ -220,9 +225,11 @@ class Algebra:
         table = {}
         for (i, j), terms in products.items():
             vec = [ZERO] * dim
+            touched = []
             for k, c in terms:
                 vec[k] += Fraction(c)
-            if not is_zero_vector(vec):
+                touched.append(k)
+            if any(map(vec.__getitem__, touched)):
                 table[(i, j)] = tuple(vec)
         return Algebra(dim, tuple(labels), table)
 
@@ -461,12 +468,8 @@ def chain_algebra(dim: int, prefix: str = "e") -> Algebra:
 
 def algebra_to_dict(alg: Algebra) -> dict:
     """Canonical JSON-ready form of the algebra table."""
-    entries = {}
-    for (i, j) in sorted(alg.brackets):
-        vec = alg.brackets[(i, j)]
-        terms = [[k, format_scalar(vec[k])] for k in range(alg.dim) if vec[k]]
-        if terms:
-            entries[f"{i},{j}"] = terms
+    entries = {f"{i},{j}": [[k, format_scalar(c)] for k, c in terms]
+               for (i, j), terms in sorted(alg._entries.items())}
     return {"dim": alg.dim, "basis": list(alg.basis_labels), "brackets": entries}
 
 

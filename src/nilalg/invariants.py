@@ -217,7 +217,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
 def _candidates(n: int, forms, samples: int, seed: int):
     """The sweep's test set, outside the common kernel L^2 of ``forms``,
     built lazily in order: basis vectors, pairwise sums, seeded draws."""
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     # a form's value on e_i is its i-th coefficient
     outside = [i for i in range(n) if any(form[i] for form in forms)]
     for i in outside:

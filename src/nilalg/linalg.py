@@ -3,9 +3,10 @@
 Vectors and matrices are tuples of ``fractions.Fraction`` (or ints), so
 ranks, inverses and echelon forms are computed without rounding.
 :class:`RowSpace` is the one Gaussian elimination: rows are inserted one
-at a time and eliminated fraction-free on Python integers, and the
-canonical reduced row echelon basis is built from them on demand, so two
-equal row spaces always have identical representations.
+at a time and eliminated fraction-free on Python integers (an integer row
+goes in as it is, a row holding a ``Fraction`` is scaled to integers
+first), and the canonical reduced row echelon basis is built from them on
+demand, so two equal row spaces always have identical representations.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ Matrix = tuple[Vector, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Every insert converts its row to integers; mapped C-level getters keep
-# that cheap for int and Fraction entries alike.
+# An insert of a row holding a Fraction converts it to integers; mapped
+# C-level getters keep that cheap for int and Fraction entries alike.
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -82,13 +83,17 @@ class RowSpace:
         return tuple(sorted(self._pivots))
 
     def _residue(self, vec: Sequence[Fraction]) -> list[int]:
-        """``vec`` scaled by the lcm of its denominators, then cleared at
-        every stored pivot."""
-        den = lcm(*set(map(_denominator, vec)))
-        if den == 1:
-            v = list(map(_numerator, vec))
+        """``vec`` cleared at every stored pivot.  An integer row is taken
+        as it is; a row holding a ``Fraction`` is first scaled by the lcm
+        of its denominators, which changes no span."""
+        if Fraction not in map(type, vec):
+            v = list(vec)
         else:
-            v = [c.numerator * (den // c.denominator) for c in vec]
+            den = lcm(*set(map(_denominator, vec)))
+            if den == 1:
+                v = list(map(_numerator, vec))
+            else:
+                v = [c.numerator * (den // c.denominator) for c in vec]
         return _cleared(v, self._pivots, self._rows)
 
     def _back_substituted(self) -> list[tuple[int, list[int]]]:

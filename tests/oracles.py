@@ -15,7 +15,10 @@ entry and every matrix entry, zero or not.  They read only
 exact equality.  The brute-force diagonal search visits every permutation,
 so the pruned enumeration is checked against it, counters included; the
 exhaustive characteristic-sequence sweep computes C(x) in full on every
-candidate, so the rank-pruned sweep is checked against it.  The
+candidate, so the rank-pruned sweep is checked against it.  The table views
+an ``Algebra`` builds from its one scan of ``brackets`` (the integer index,
+the support triples, the JSON form) are checked against a scan of every
+coordinate.  The
 ``Fraction`` lower central series brackets each reduced basis vector of
 L^k with every e_j by the dense bracket, so the integer series is checked
 against it.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from nilalg import (
     Algebra,
@@ -63,6 +67,30 @@ def dense_bracket(alg: Algebra, x, y) -> tuple:
             for k in range(n):
                 out[k] += c * vec[k]
     return tuple(out)
+
+
+def dense_table_views(alg: Algebra) -> tuple:
+    """(integer_index, _triples, algebra_to_dict) of ``alg`` by a scan of
+    every coordinate of every ``brackets`` entry, zero or not."""
+    n = alg.dim
+    den = 1
+    for vec in alg.brackets.values():
+        for k in range(n):
+            den = lcm(den, Fraction(vec[k]).denominator)
+    index, triples, entries = {}, [], {}
+    for (i, j), vec in alg.brackets.items():
+        ks = [k for k in range(n) if vec[k] != 0]
+        triples.extend((i, j, k) for k in ks)
+        if ks:
+            index.setdefault(i, []).append(
+                (j, tuple((k, int(vec[k] * den)) for k in ks)))
+    for i, j in sorted(alg.brackets):
+        vec = alg.brackets[(i, j)]
+        terms = [[k, str(Fraction(vec[k]))] for k in range(n) if vec[k] != 0]
+        if terms:
+            entries[f"{i},{j}"] = terms
+    return ((den, index), tuple(triples),
+            {"dim": n, "basis": list(alg.basis_labels), "brackets": entries})
 
 
 def unit(n: int, i: int) -> tuple:

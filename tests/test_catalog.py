@@ -149,6 +149,26 @@ def test_family_spec_json_roundtrip():
     ) == FamilySpec("M4", 10, 4, (), 0)
 
 
+@pytest.mark.parametrize("fields", [
+    ("M4", 8, 4, 1),  # alpha meant, passed as r
+    ("M4", "8", 4),
+    ("M5", True, 4),
+    ("M5", 8, 4.0),
+    ("L", 12, 4, (3, True, 7)),
+    ("M4", 8, 4, (), False),
+    ("M4", 8, 4, (), "1"),
+])
+def test_family_spec_refuses_bad_field_types(fields):
+    with pytest.raises(InvalidInputError, match="family spec"):
+        make(FamilySpec(*fields))
+
+
+def test_family_spec_keeps_r_as_tuple():
+    spec = FamilySpec("L", 12, 4, [3, 5, 7])
+    assert spec == FamilySpec("L", 12, 4, (3, 5, 7))
+    assert spec.r == (3, 5, 7) and hash(spec) == hash(FamilySpec("L", 12, 4, (3, 5, 7)))
+
+
 def test_list_families_covers_enum():
     assert set(list_families()) == {"L", "Q", "TAU_NP1", "TAU_NP2",
                                     "M1", "M2", "M3", "M4", "M5"}

@@ -482,10 +482,18 @@ BOOL_SPECS = (
     {"family": "L", "n": 12, "p": 4, "r": [3, True, 7]},
 )
 
+WRONG_TYPE_SPECS = (
+    {"family": "M4", "n": "8", "p": 4},
+    {"family": "M4", "n": 8, "p": 4, "r": 1},
+    {"family": "M4", "n": 8, "p": 4, "alpha": "1"},
+    {"family": "L", "n": 12, "p": 4, "r": [3, "5", 7]},
+)
 
-@pytest.mark.parametrize("spec", BOOL_SPECS)
+
+@pytest.mark.parametrize("spec", BOOL_SPECS + WRONG_TYPE_SPECS)
 def test_json_bools_refused_in_family_specs(tmp_path, capsys, spec):
-    # true/false load as the ints 1/0; a spec must spell them as numbers
+    # true/false load as the ints 1/0; a spec must spell them as numbers,
+    # and a field of any other wrong type is refused the same way
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([spec]))
     assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2

@@ -112,5 +112,43 @@ def test_vanishing_forms_decide_membership(case):
         assert vanish == space.contains(vec)
 
 
+@st.composite
+def integer_rows(draw):
+    """Integer rows in Q^n (1 <= n <= 6, possibly dependent or zero) and
+    integer probe vectors."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+    return n, draw(st.lists(row, max_size=n + 1)), draw(st.lists(row, max_size=3))
+
+
+def _positive_multiple(a, b) -> bool:
+    """True iff the integer vector a is lambda * b for some lambda > 0."""
+    k = next(k for k, c in enumerate(b) if c)
+    ratio = F(a[k], b[k])
+    return ratio > 0 and all(F(s) == ratio * t for s, t in zip(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows(),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+def test_integer_rows_match_their_fraction_copies(case, scale):
+    # integer rows go in as they are, Fraction rows are scaled to integers
+    # first: the same rows as Fractions, or scaled by any nonzero rational,
+    # span the same space with the same forms up to a positive factor
+    n, rows, probes = case
+    ints = RowSpace(n, rows)
+    forms = ints.vanishing_forms()
+    for copy in (RowSpace(n, [[F(c) for c in row] for row in rows]),
+                 RowSpace(n, [[scale * c for c in row] for row in rows])):
+        assert copy.rows() == ints.rows()
+        assert copy.pivots == ints.pivots
+        for vec in probes + rows:
+            scaled = [scale * c for c in vec]
+            assert copy.contains(vec) == copy.contains(scaled) == ints.contains(vec)
+        copied = copy.vanishing_forms()
+        assert len(copied) == len(forms)
+        assert all(map(_positive_multiple, copied, forms))
+
+
 def test_unit_vector():
     assert unit_vector(3, 1) == (F(0), F(1), F(0))

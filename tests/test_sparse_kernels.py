@@ -8,8 +8,9 @@ adapted-basis closure that skips old x old pairs, and its closure support)
 is compared with the dense ``Fraction`` loops in ``oracles`` on small
 random nilpotent tables, Leibniz or not, on the same tables with
 non-integer structure constants, and on catalog algebras under a random
-invertible change of basis; the Leibniz check also on tables with no
-structure at all, self-brackets and cycles included.
+invertible change of basis; the Leibniz check, and the table views built
+at construction, also on tables with no structure at all, self-brackets
+and cycles included.
 """
 
 import random
@@ -24,6 +25,7 @@ from nilalg import (
     DegreeAssignment,
     FamilySpec,
     abelian_algebra,
+    algebra_to_dict,
     bracket,
     chain_algebra,
     change_of_basis,
@@ -55,6 +57,7 @@ from oracles import (
     dense_rref,
     dense_right_mult,
     dense_square_ideal,
+    dense_table_views,
     mat_mul,
     random_invertible,
     random_nilpotent_algebra,
@@ -171,6 +174,19 @@ def test_leibniz_violations_match_full_sweep(alg):
     # same triples, in the same order, with the same Fraction defects; the
     # pinned example has [e1, e1] = e1, [e1, e2] in <e2> and [e2, e1] in <e1>
     assert_violations_match_dense(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_tables(), st.booleans())
+def test_table_views_match_dense_scan(alg, as_ints):
+    # the nonzero terms kept by the one scan at construction give the
+    # integer index, the support triples and the JSON form; a table built
+    # with int entries (2 times the drawn ones) gives them too
+    if as_ints:
+        alg = Algebra(alg.dim, alg.basis_labels,
+                      {key: tuple(int(2 * c) for c in vec)
+                       for key, vec in alg.brackets.items()})
+    assert (alg.integer_index, alg._triples, algebra_to_dict(alg)) == dense_table_views(alg)
 
 
 def test_leibniz_sweep_sees_non_leibniz_tables():
