@@ -129,10 +129,9 @@ def _validate_m(spec: FamilySpec):
         _fail(spec, "p even")
     if spec.family == "M3" and p % 2 == 0:
         _fail(spec, "p odd")
-    if spec.family in ("M1", "M2") and p < 2:
-        _fail(spec, "p >= 2")
-    if spec.family in ("M4", "M5") and p < 4:
-        _fail(spec, "p >= 4")
+    least = {"M1": 2, "M2": 2, "M3": 1}.get(spec.family, 4)
+    if p < least:
+        _fail(spec, f"p >= {least}")
     if spec.family == "M4":
         if spec.alpha not in (0, 1):
             _fail(spec, "alpha in {0, 1}")

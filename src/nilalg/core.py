@@ -19,7 +19,7 @@ import reprlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -29,7 +29,6 @@ from .linalg import (
     Vector,
     ZERO,
     invert,
-    is_zero_vector,
     row_times_mat,
     unit_vector,
     zero_vector,
@@ -194,7 +193,7 @@ class Algebra:
         """
         n = self.dim
         _, index = self.integer_index
-        basis = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        basis = _unit_rows(n)
         terms = [RowSpace(n, basis)]
         while basis:  # basis: integer rows spanning the last term
             space = RowSpace(n)
@@ -262,7 +261,7 @@ def bracket(alg: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vecto
             f"vector length mismatch: got {len(x)} and {len(y)}, "
             f"algebra has dim {alg.dim}")
     den, index = alg.integer_index
-    scaled = right_image(sparse_rows(right_columns(index, alg.dim, y)), x)
+    scaled = right_image(right_columns(index, alg.dim, y), x)
     inv = Fraction(1, den)
     return tuple(c * inv for c in scaled)
 
@@ -279,32 +278,34 @@ def bracket_vec_basis(alg: Algebra, vec: Sequence[Fraction], j: int) -> Vector:
     return bracket(alg, vec, alg.basis_vector(j))
 
 
+@lru_cache(maxsize=16)
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The integer unit rows e_0, ..., e_{n-1}, built once per n."""
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
 def right_columns(index: Mapping[int, list], n: int, x: Sequence[int]
-                  ) -> list[list[int]]:
-    """The columns [e_j, x], j < n, of R_x on an ``integer_index`` table,
-    as dense lists: D times the columns, integer when x is."""
+                  ) -> list[list[tuple[int, int]]]:
+    """The columns D [e_j, x], j < n, of D R_x on an ``integer_index``
+    table, each as its nonzero entries [(k, c), ...] (integer when x is),
+    summed over the entries index[j] alone: the one form of R_x, which
+    ``right_image`` reads."""
     columns = []
     for j in range(n):
-        col = [0] * n
+        col: dict[int, int] = {}
         for t, terms in index.get(j, ()):
             c = x[t]
             if c:
                 for k, a in terms:
-                    col[k] += c * a
-        columns.append(col)
+                    col[k] = col.get(k, 0) + c * a
+        columns.append([(k, c) for k, c in col.items() if c])
     return columns
-
-
-def sparse_rows(rows: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
-    """Each row as its nonzero entries [(k, c), ...], the form ``right_image``
-    reads."""
-    return [[(k, c) for k, c in enumerate(row) if c] for row in rows]
 
 
 def right_image(columns: Sequence[Iterable[tuple[int, int]]],
                 v: Sequence[int]) -> list[int]:
-    """sum_j v_j columns[j] from sparse columns [(k, c), ...]: [v, x] when
-    column j holds [e_j, x]."""
+    """sum_j v_j columns[j] as a dense row: D [v, x] from the columns
+    ``right_columns`` gives for x, and column j itself when v = e_j."""
     out = [0] * len(v)
     for j, c in enumerate(v):
         if c:
@@ -378,18 +379,14 @@ def check_leibniz(alg: Algebra) -> LeibnizReport:
 def is_lie(alg: Algebra) -> bool:
     """True iff the table is antisymmetric with zero squares.
 
-    Assumes check_leibniz passed; antisymmetry on basis pairs then gives
-    [x, x] = 0 for every x by bilinearity.
+    No nonzero entry in ``_entries`` may be a square [e_i, e_i], and each
+    must have its mirror [e_j, e_i] with the negated terms.  Assumes
+    check_leibniz passed; antisymmetry on basis pairs then gives [x, x] = 0
+    for every x by bilinearity.
     """
-    for i in range(alg.dim):
-        if not is_zero_vector(alg.table_entry(i, i)):
-            return False
-        for j in range(i + 1, alg.dim):
-            anti = tuple(a + b for a, b in
-                         zip(alg.table_entry(i, j), alg.table_entry(j, i)))
-            if not is_zero_vector(anti):
-                return False
-    return True
+    entries = alg._entries
+    return all(i != j and entries.get((j, i)) == tuple((k, -c) for k, c in terms)
+               for (i, j), terms in entries.items())
 
 
 def square_ideal(alg: Algebra) -> RowSpace:
@@ -398,28 +395,28 @@ def square_ideal(alg: Algebra) -> RowSpace:
     Seeded by [e_i, e_i] and the polarizations [e_i, e_j] + [e_j, e_i],
     whose span holds [x, v] + [v, x] for all x and v by bilinearity, then
     closed under bracketing with basis elements on the left.  That closes
-    it on the right too: [v, x] = ([v, x] + [x, v]) - [x, v].  The brackets
-    come from ``integer_index`` as D times the bracket, which spans the
-    same ideal.  The ``RowSpace`` the closure ran in is returned as it is.
+    it on the right too: [v, x] = ([v, x] + [x, v]) - [x, v].  All rows
+    are integer, D times the bracket, read from ``integer_index``: each
+    pair's seed goes in by (min, max), and [e_i, v] is ``right_image`` of
+    e_i through the columns of v.  The ``RowSpace`` the closure ran in is
+    returned as it is.
     """
     n = alg.dim
     _, index = alg.integer_index
+    seeds: dict[tuple[int, int], list[int]] = defaultdict(([0] * n).copy)
+    for i, row in index.items():
+        for j, terms in row:
+            seed = seeds[min(i, j), max(i, j)]
+            for k, a in terms:
+                seed[k] += a
     space = RowSpace(n)
-    frontier = []
-
-    def feed(vec) -> None:
-        if space.add(vec):
-            frontier.append(tuple(vec))
-
-    for i in range(n):
-        feed(alg.table_entry(i, i))
-        for j in range(i + 1, n):
-            feed(tuple(a + b for a, b in
-                       zip(alg.table_entry(i, j), alg.table_entry(j, i))))
+    frontier = [seeds[key] for key in sorted(seeds) if space.add(seeds[key])]
     while frontier:
-        vec = frontier.pop()
-        for left in right_columns(index, n, vec):  # D [e_i, vec]
-            feed(left)
+        columns = right_columns(index, n, frontier.pop())
+        for unit in _unit_rows(n):
+            left = right_image(columns, unit)  # D [e_i, v]
+            if space.add(left):
+                frontier.append(left)
     return space
 
 
@@ -442,7 +439,7 @@ def change_of_basis(alg: Algebra, m: Sequence[Sequence[Fraction]],
     # the kernel gives D [b_i, b_j], so minv takes the factor 1/D.
     den, index = alg.integer_index
     minv = tuple(tuple(c / den for c in row) for row in minv)
-    columns = [sparse_rows(right_columns(index, n, row)) for row in m]
+    columns = [right_columns(index, n, row) for row in m]
     new_table = {}
     for i in range(n):
         for j in range(n):

@@ -55,7 +55,6 @@ from .core import (
     load_json,
     right_columns,
     right_image,
-    sparse_rows,
     square_ideal,
 )
 from .errors import DegenerateSampleError, InvalidInputError
@@ -67,7 +66,7 @@ from .invariants import (
     draw_scaled_rationals,
     lower_central_series,
 )
-from .linalg import RowSpace, Vector, ZERO, is_zero_vector
+from .linalg import RowSpace, Vector
 
 MAXIMUM_LENGTH = "maximum_length"
 NOT_MAXIMUM_LENGTH = "not_maximum_length"
@@ -173,8 +172,8 @@ def _closure_offset(triples, degs: list[int]) -> tuple[bool, int | None]:
 
 def _degree_reason(n: int, degs: list[int]) -> str | None:
     """The reason n degrees fail to be distinct and fill an interval, from
-    the degree multiset alone (closure not examined), or None.  Shared by
-    ``verify_gradation`` and the adapted-basis search."""
+    the degree multiset alone (closure not examined), or None; the
+    adapted-basis search tests each degree pattern with it."""
     seen = set(degs)
     if len(seen) != n:
         return REASON_COLLISION
@@ -207,7 +206,9 @@ def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
               "distinct": distinct, "connected": connected,
               "interval": [lo, hi], "offset": offset}
     # distinct and connected already give an interval of size n
-    reason = _degree_reason(n, degs) or (None if closure else REASON_CLOSURE)
+    reason = (REASON_COLLISION if not distinct
+              else REASON_DISCONNECTED if not connected
+              else None if closure else REASON_CLOSURE)
     if reason is None:
         return GradationReport(MAXIMUM_LENGTH, witness=d, checks=checks)
     return GradationReport(NOT_MAXIMUM_LENGTH, witness=d, reason=reason,
@@ -248,14 +249,13 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
                 reps.append(row)
                 degrees.append(k + 1)
                 labels.append(alg.basis_labels[piv])
-    table = {}
-    for (i, j), coords in change_of_basis(alg, reps, labels).brackets.items():
+    products = {}
+    for (i, j), entry in change_of_basis(alg, reps, labels)._entries.items():
         target = degrees[i] + degrees[j]
-        projected = tuple(c if degrees[s] == target else ZERO
-                          for s, c in enumerate(coords))
-        if not is_zero_vector(projected):
-            table[(i, j)] = projected
-    graded = Algebra(n, tuple(labels), table)
+        projected = [(k, c) for k, c in entry if degrees[k] == target]
+        if projected:
+            products[(i, j)] = projected
+    graded = Algebra.from_products(n, labels, products)
     return NaturalGradation(tuple(degrees.count(k + 1)
                                   for k in range(len(terms) - 1)),
                             tuple(degrees), graded)
@@ -451,7 +451,7 @@ class AdaptedBasisSample:
         n = self.alg.dim
         _, index = self.alg.integer_index
         targets = {_ray(row): k for k, row in enumerate(self.rows)}
-        columns = [sparse_rows(right_columns(index, n, x)) for x in self.rows]
+        columns = [right_columns(index, n, x) for x in self.rows]
         triples = []
         for i, u in enumerate(self.rows):
             for j in range(n):
@@ -521,7 +521,7 @@ def _close_adapted_basis(alg: Algebra, sample_index: int, generators,
     for v in rows:
         if not space.add(v):
             return None  # generators already dependent
-    columns: dict[int, list] = {}  # j -> sparse [e_t, rows[j]], on first use
+    columns: dict[int, list] = {}  # j -> right_columns of rows[j], on first use
     # rows[:done] were bracketed pairwise by an earlier full pass; those
     # brackets already lie in the span, so each pass skips old x old pairs.
     done = 0
@@ -533,7 +533,7 @@ def _close_adapted_basis(alg: Algebra, sample_index: int, generators,
             for j in range(done if i < done else 0, size):
                 cols = columns.get(j)
                 if cols is None:
-                    cols = columns[j] = sparse_rows(right_columns(index, n, rows[j]))
+                    cols = columns[j] = right_columns(index, n, rows[j])
                 w = right_image(cols, u)
                 if not space.add(w):
                     continue

@@ -20,9 +20,9 @@ from operator import mul
 from .core import (
     Algebra,
     CentralSeries,
+    _unit_rows,
     right_columns,
     right_image,
-    sparse_rows,
 )
 from .errors import InvalidInputError, NotNilpotentError
 from .linalg import RowSpace, Vector, mat_vec, unit_vector
@@ -53,7 +53,8 @@ def right_mult_matrix(alg: Algebra, x) -> tuple[Vector, ...]:
             f"vector length {len(x)} does not match dim {alg.dim}")
     n = alg.dim
     den, index = alg.integer_index
-    cols = right_columns(index, n, x)  # D [e_j, x]
+    columns = right_columns(index, n, x)
+    cols = [right_image(columns, unit) for unit in _unit_rows(n)]  # D [e_j, x]
     inv = Fraction(1, den)
     return tuple(tuple(cols[j][i] * inv for j in range(n)) for i in range(n))
 
@@ -164,9 +165,10 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     ``randint`` stream from ``getrandbits``.  Membership in L^2 is read
     from the integer forms that vanish on it, the ``vanishing_forms`` of
     the series' own ``RowSpace`` for L^2, built once per sweep, so each
-    test is a few dot products; ranks come from ``RowSpace``, which
-    eliminates fraction-free on integers, so no ``Fraction`` enters the
-    loop.  ``char_seq_at`` and ``nilpotent_block_profile`` remain the
+    test is a few dot products.  Each candidate's R_x is built once, as the
+    sparse columns of ``right_columns``; every rank step applies them with
+    ``right_image`` and ranks the images in ``RowSpace``, which eliminates
+    fraction-free on integers, so no ``Fraction`` enters the loop.  ``char_seq_at`` and ``nilpotent_block_profile`` remain the
     ``Fraction`` reference for a single vector.
 
     Candidates are visited in that order and each is dropped as soon as it
@@ -217,7 +219,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
 def _candidates(n: int, forms, samples: int, seed: int):
     """The sweep's test set, outside the common kernel L^2 of ``forms``,
     built lazily in order: basis vectors, pairwise sums, seeded draws."""
-    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    units = _unit_rows(n)
     # a form's value on e_i is its i-th coefficient
     outside = [i for i in range(n) if any(form[i] for form in forms)]
     for i in outside:
@@ -259,18 +261,18 @@ def _pruned_char_seq(index, n: int, x, best: tuple[int, ...] | None,
     """C(x) if it is lexicographically above ``best``, else None.
 
     ``index`` is the algebra's ``integer_index`` and ``x`` an integer
-    vector.  Walks the ranks of R_x^k: image_1 is spanned by the
-    columns [e_j, x], image_{k+1} by [v, x] over a basis v of image_k.  The
-    walk stops as soon as the lex-max completion of the ranks so far, which
-    falls by one per step, gives a profile <= ``best``.  ``bounds`` caches
-    that profile by rank prefix across the calls of one sweep.
+    vector.  Walks the ranks of R_x^k: image_0 is spanned by the unit rows,
+    image_{k+1} by the ``right_image`` [v, x] of a basis v of image_k
+    through the columns ``right_columns`` gives for x.  The walk stops as
+    soon as the lex-max completion of the ranks so far, which falls by one
+    per step, gives a profile <= ``best``.  ``bounds`` caches that profile
+    by rank prefix across the calls of one sweep.
     """
     if bounds is None:
         bounds = {}
-    columns = right_columns(index, n, x)  # the first image's spanning rows
-    sparse = None  # the same columns as [(k, c), ...], built at step two
+    columns = right_columns(index, n, x)
     ranks = (n,)
-    vectors = None
+    vectors = _unit_rows(n)
     while True:
         bound = bounds.get(ranks)
         if bound is None:
@@ -280,12 +282,7 @@ def _pruned_char_seq(index, n: int, x, best: tuple[int, ...] | None,
             return None
         if ranks[-1] == 0:
             return bound
-        if vectors is None:
-            vectors = columns
-        else:
-            if sparse is None:
-                sparse = sparse_rows(columns)
-            vectors = [right_image(sparse, v) for v in vectors]
+        vectors = [right_image(columns, v) for v in vectors]
         # The vectors that enlarge the image form a basis of it, and R_x
         # maps any basis of image_k onto a spanning set of image_{k+1}.
         space = RowSpace(n)

@@ -36,10 +36,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero_vector(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
 def _cleared(v: list[int], pivots: Iterable[int],
              rows: Iterable[list[int]]) -> list[int]:
     """Integer ``v`` cleared at each pivot p in turn: v <- a*v - c*row with

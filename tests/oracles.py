@@ -6,9 +6,10 @@ nilpotent algebras are built level-by-level so nilpotency holds by
 construction, and series dimensions for the Lie families come from the
 suffix sums of their known natural-gradation components.
 
-The dense reference kernels (bracket, the n^3 Leibniz sweep, Gauss-Jordan
-RREF and inverse, the all-pairs adapted-basis closure of the rational
-generator draw, the squares ideal grown to its rank) walk every table
+The dense reference kernels (bracket, the n^3 Leibniz sweep, the
+all-pairs Lie test, Gauss-Jordan RREF and inverse, the all-pairs
+adapted-basis closure of the rational generator draw, the squares ideal
+grown to its rank) walk every table
 entry and every matrix entry, zero or not.  They read only
 ``Algebra.brackets`` and plain tuples, never the sparse index or
 ``RowSpace``, so the library's sparse kernels are checked against them for
@@ -127,6 +128,22 @@ def dense_leibniz_violations(alg: Algebra) -> tuple:
                 if any(defect):
                     out.append(((i, j, k), defect))
     return tuple(out)
+
+
+def dense_is_lie(alg: Algebra) -> bool:
+    """Zero squares and antisymmetry, by the sum [e_i, e_j] + [e_j, e_i]
+    over every pair i < j, zero entries included."""
+    n = alg.dim
+    zero = (ZERO,) * n
+    for i in range(n):
+        if any(alg.brackets.get((i, i), zero)):
+            return False
+        for j in range(i + 1, n):
+            anti = tuple(a + b for a, b in zip(alg.brackets.get((i, j), zero),
+                                               alg.brackets.get((j, i), zero)))
+            if any(anti):
+                return False
+    return True
 
 
 def dense_right_mult(alg: Algebra, x) -> tuple:

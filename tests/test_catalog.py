@@ -76,6 +76,8 @@ def test_grid_lie_verdicts(spec, grid_algebras):
     FamilySpec("TAU_NP1", 13, 4, (3, 5)),    # n-p odd makes r_{p-1} even
     FamilySpec("M1", 8, 3),                  # p odd
     FamilySpec("M3", 8, 4),                  # p even
+    FamilySpec("M3", 5, -1),                 # p odd but below 1
+    FamilySpec("M3", 0, -5),                 # p odd but below 1
     FamilySpec("M4", 7, 4, (), 0),           # n-p < 4
     FamilySpec("M4", 10, 4, (), 2),          # alpha outside {0,1}
     FamilySpec("M5", 10, 4, (3,)),           # stray r parameters

@@ -52,6 +52,20 @@ def test_catalog_make_invalid_parameters_exit_2():
                  "--alpha", "1"]) == 2
 
 
+def test_m3_negative_p_exit_2(tmp_path, capsys):
+    # p = -1 is odd, but M3 needs p >= 1; a table with a negative p would
+    # end in an IndexError
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"family": "M3", "n": 9, "p": -3}]))
+    assert main(["catalog", "make", "--family", "M3", "--n", "5", "--p", "-1"]) == 2
+    assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: M3(5, -1): violated hypothesis: p >= 1",
+        "error: M3(9, -3): violated hypothesis: p >= 1"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_catalog_make_witnessless_family_exit_2(tmp_path):
     out = tmp_path / "l.json"
     code = main(["catalog", "make", "--family", "L", "--n", "12", "--p", "4",

@@ -276,8 +276,8 @@ def test_characteristic_sequence_matches_exhaustive_on_seeded_tables():
 
 
 def test_characteristic_sequence_prunes_candidates(monkeypatch):
-    # Every candidate's first rank step reads its columns [e_j, x] directly;
-    # the steps after it go through ``right_image`` with those columns.
+    # Every rank step of a candidate goes through ``right_image`` with the
+    # one set of sparse columns [e_j, x] built for it, from the first step on.
     # The exhaustive sweep takes all 31 candidates of M4(8,4,1) past step
     # one; here the first, e1, attains the rank ceiling and ends the sweep.
     # The series brackets through ``core.right_image``, which the patch of
@@ -495,8 +495,8 @@ def test_series_terms_are_reduced_once():
 
 
 def test_integer_rows_enter_rowspace_unconverted():
-    # the series and the characteristic-sequence sweep insert integer rows
-    # only, so RowSpace reads no denominator; invert, square_ideal and
+    # the series, the characteristic-sequence sweep and square_ideal insert
+    # integer rows only, so RowSpace reads no denominator; invert and
     # nilpotent_block_profile still hand it Fraction rows to scale
     alg = make(FamilySpec("M4", 8, 4, (), 1))
     read = []
@@ -509,10 +509,10 @@ def test_integer_rows_enter_rowspace_unconverted():
     with mock.patch.object(linalg, "_denominator", counted):
         terms = alg.central_series.terms
         assert is_p_filiform(alg, 4)
+        assert square_ideal(alg).dim > 0
         assert len(terms) > 3 and read == []
         x = tuple(F(int(i == 0)) for i in range(alg.dim))
         for convert in (lambda: linalg.invert(((F(1), F(1, 2)), (F(0), F(3)))),
-                        lambda: square_ideal(alg),
                         lambda: nilpotent_block_profile(right_mult_matrix(alg, x))):
             read.clear()
             convert()

@@ -1,7 +1,8 @@
 """The sparse exact kernels agree exactly with the dense reference code.
 
 Every kernel that walks only nonzeros (the bracket routines, change of
-basis and the squares ideal over the algebra's integer index, the Leibniz
+basis and the squares ideal over the algebra's integer index, the Lie test
+over the nonzero entries and their mirrors, the Leibniz
 check as a join of table entries over their shared basis indices, sparse
 RREF rows, membership in L^2 against its reduced basis, the integer
 adapted-basis closure that skips old x old pairs, and its closure support)
@@ -31,9 +32,11 @@ from nilalg import (
     change_of_basis,
     check_leibniz,
     generator_roles,
+    graded_fingerprint,
     is_lie,
     lower_central_series,
     make,
+    natural_gradation,
     right_mult_matrix,
     square_ideal,
     two_generator_search,
@@ -53,6 +56,7 @@ from oracles import (
     dense_bracket,
     dense_closure,
     dense_invert,
+    dense_is_lie,
     dense_leibniz_violations,
     dense_rref,
     dense_right_mult,
@@ -98,6 +102,21 @@ def rational_tables(draw):
     return alg
 
 
+@st.composite
+def arbitrary_tables(draw):
+    """A table of dim 1-5 with no structure: any entry may hit any basis
+    vector, so self-brackets such as [e_i, e_i] = e_i and cycles of
+    brackets through a target that is also a factor occur."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    index = st.integers(min_value=0, max_value=n - 1)
+    coeff = st.sampled_from((F(0), F(0), F(1), F(-1), F(2), F(-3, 2)))
+    entries = draw(st.dictionaries(st.tuples(index, index),
+                                   st.lists(coeff, min_size=n, max_size=n).map(tuple),
+                                   max_size=n * n))
+    return Algebra(n, tuple(f"e{i + 1}" for i in range(n)),
+                   {key: vec for key, vec in entries.items() if any(vec)})
+
+
 def vectors(n):
     return st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                     min_size=n, max_size=n).map(tuple)
@@ -135,11 +154,50 @@ def test_change_of_basis_matches_dense(alg, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rational_tables())
+@given(st.one_of(rational_tables(), arbitrary_tables()))
 def test_square_ideal_matches_dense_closure(alg):
+    # the integer seeds summed per pair {i, j} and the left brackets through
+    # the sparse columns span the dense two-sided closure, on tables with
+    # self-brackets and cycles too
     assume(not is_lie(alg))
     ideal = square_ideal(alg)
     assert (ideal.rows(), ideal.pivots) == dense_square_ideal(alg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(algebras(), rational_tables(), arbitrary_tables()))
+@example(Algebra(3, ("e1", "e2", "e3"), {(0, 1): (0, 0, 2), (1, 0): (0, 0, -2)}))
+@example(Algebra.from_products(3, ("e1", "e2", "e3"), {
+    (0, 1): [(2, F(1))], (1, 0): [(2, F(-1)), (1, F(1, 2))]}))
+@example(Algebra.from_products(2, ("e1", "e2"), {
+    (0, 1): [(1, F(2, 3))]}))
+@example(Algebra.from_products(2, ("e1", "e2"), {(1, 1): [(0, F(1))]}))
+def test_is_lie_matches_dense(alg):
+    # the mirror test on the nonzero entries agrees with the all-pairs sum;
+    # the examples are antisymmetric (with int constants), a mirror with an
+    # extra term, an entry with no mirror and a lone self-bracket
+    assert is_lie(alg) == dense_is_lie(alg)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("M3", 5, 1), FamilySpec("M4", 8, 4, (), 1),
+                                  FamilySpec("L", 12, 4, (3, 5, 7))])
+def test_table_readers_use_sparse_views(monkeypatch, spec):
+    # is_lie, square_ideal, the natural gradation and the fingerprint read
+    # the table through the views built at construction: neither an entry
+    # at a time nor ``brackets`` once the scan is done
+    alg = make(spec)
+    expected = graded_fingerprint(alg)
+
+    def no_entry(self, i, j):
+        raise AssertionError(f"table_entry({i}, {j}) read")
+
+    monkeypatch.setattr(Algebra, "table_entry", no_entry)
+    alg = make(spec)
+    object.__setattr__(alg, "brackets", None)  # read only by the scan
+    assert is_lie(alg) == (spec.family == "L")
+    assert (square_ideal(alg).dim == 0) == is_lie(alg)
+    assert natural_gradation(alg).graded_algebra.dim == alg.dim
+    assert graded_fingerprint(alg) == expected
 
 
 def assert_violations_match_dense(alg):
@@ -149,21 +207,6 @@ def assert_violations_match_dense(alg):
     assert all(type(c) is Fraction for v in violations for c in v.defect)
     assert tuple((v.triple, v.defect) for v in violations) == dense_leibniz_violations(alg)
     return triples
-
-
-@st.composite
-def arbitrary_tables(draw):
-    """A table of dim 1-5 with no structure: any entry may hit any basis
-    vector, so self-brackets such as [e_i, e_i] = e_i and cycles of
-    brackets through a target that is also a factor occur."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    index = st.integers(min_value=0, max_value=n - 1)
-    coeff = st.sampled_from((F(0), F(0), F(1), F(-1), F(2), F(-3, 2)))
-    entries = draw(st.dictionaries(st.tuples(index, index),
-                                   st.lists(coeff, min_size=n, max_size=n).map(tuple),
-                                   max_size=n * n))
-    return Algebra(n, tuple(f"e{i + 1}" for i in range(n)),
-                   {key: vec for key, vec in entries.items() if any(vec)})
 
 
 @settings(max_examples=60, deadline=None)
