@@ -33,7 +33,6 @@ from .gradations import (
     NaturalGradation,
     diagonal_search,
     graded_fingerprint,
-    m4_1_witness,
     natural_gradation,
     two_generator_search,
     verify_gradation,
@@ -62,7 +61,7 @@ __all__ = [
     "algebra_to_dict", "algebra_to_json", "bracket", "chain_algebra",
     "change_of_basis", "check_leibniz", "is_lie", "square_ideal",
     "generator_roles", "list_families", "make", "known_witness",
-    "diagonal_search", "graded_fingerprint", "m4_1_witness",
+    "diagonal_search", "graded_fingerprint",
     "natural_gradation", "two_generator_search", "verify_gradation",
     "char_seq_at", "characteristic_sequence", "is_p_filiform",
     "lower_central_series", "nilindex", "nilpotent_block_profile",

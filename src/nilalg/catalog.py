@@ -18,9 +18,7 @@ from fractions import Fraction
 
 from .core import MAX_DIM, Algebra, load_json
 from .errors import InvalidInputError
-from .gradations import DegreeAssignment, GeneratorRoles, m4_1_witness
-
-FAMILIES = ("L", "Q", "TAU_NP1", "TAU_NP2", "M1", "M2", "M3", "M4", "M5")
+from .gradations import DegreeAssignment, GeneratorRoles
 
 _HYPOTHESES = {
     "L": "p > 1, n >= max(3p-1, p+8), r = (r_1 < ... < r_{p-1}) odd in [3, n-p]",
@@ -33,6 +31,8 @@ _HYPOTHESES = {
     "M4": "p even >= 4, n-p >= 4, alpha in {0,1}; alpha=1 needs n even and (n-p) | n",
     "M5": "p even >= 4, n-p >= 4",
 }
+FAMILIES = tuple(_HYPOTHESES)
+_LIE_FAMILIES = ("L", "Q", "TAU_NP1", "TAU_NP2")
 
 
 def _is_int(value) -> bool:
@@ -42,7 +42,13 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameter record selecting one catalog constructor."""
+    """Parameter record selecting one catalog constructor.
+
+    A ``FamilySpec`` that exists meets every hypothesis of its family:
+    construction (``from_dict`` and ``from_json`` included) raises
+    InvalidInputError naming the first field of the wrong type or the
+    first hypothesis the parameters violate.
+    """
 
     family: str
     n: int
@@ -52,7 +58,8 @@ class FamilySpec:
 
     def __post_init__(self):
         """Refuse a field of the wrong type, bools included (JSON ``true``
-        loads as an int); a list ``r`` is kept as a tuple."""
+        loads as an int), then a violated hypothesis; a list ``r`` is kept
+        as a tuple."""
         if self.family not in FAMILIES:
             raise InvalidInputError(
                 f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
@@ -64,6 +71,7 @@ class FamilySpec:
         object.__setattr__(self, "r", tuple(self.r))
         if self.alpha is not None and not _is_int(self.alpha):
             raise InvalidInputError("family spec 'alpha' must be an integer or null")
+        _validate(self)
 
     def name(self) -> str:
         parts = [str(self.n), str(self.p)]
@@ -96,6 +104,20 @@ def list_families() -> dict[str, str]:
 
 
 # -- validation ----------------------------------------------------------
+
+def _validate(spec: FamilySpec):
+    """Raise InvalidInputError on n > MAX_DIM or naming the first hypothesis
+    ``spec`` violates."""
+    if spec.n > MAX_DIM:
+        raise InvalidInputError(
+            f"{spec.name()}: n = {spec.n} is over the limit of {MAX_DIM}")
+    if spec.family in _LIE_FAMILIES:
+        _validate_lie(spec, full_r(spec))
+        if spec.family == "Q" and (spec.n - spec.p) % 2 == 0:
+            _fail(spec, "n-p odd (required by the Q table)")
+    else:
+        _validate_m(spec)
+
 
 def _fail(spec: FamilySpec, hypothesis: str):
     raise InvalidInputError(f"{spec.name()}: violated hypothesis: {hypothesis}")
@@ -298,24 +320,10 @@ def full_r(spec: FamilySpec) -> tuple[int, ...]:
     return spec.r
 
 
-def _validate(spec: FamilySpec):
-    """Raise InvalidInputError on n > MAX_DIM or naming the first hypothesis
-    ``spec`` violates."""
-    if spec.n > MAX_DIM:
-        raise InvalidInputError(
-            f"{spec.name()}: n = {spec.n} is over the limit of {MAX_DIM}")
-    if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
-        _validate_lie(spec, full_r(spec))
-        if spec.family == "Q" and (spec.n - spec.p) % 2 == 0:
-            _fail(spec, "n-p odd (required by the Q table)")
-    else:
-        _validate_m(spec)
-
-
 def make(spec: FamilySpec) -> Algebra:
-    """Build the algebra selected by ``spec``; validates all hypotheses."""
-    _validate(spec)
-    if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
+    """Build the algebra selected by ``spec``, whose hypotheses were
+    checked when it was built."""
+    if spec.family in _LIE_FAMILIES:
         return _build_lie(spec, full_r(spec))
     return _build_m(spec)
 
@@ -325,13 +333,13 @@ def known_witness(spec: FamilySpec) -> DegreeAssignment | None:
 
     Returns None for families proved to admit no maximum-length gradation
     (L, Q, tau, M3) and for M1/M2, whose extensions are covered by M4/M5.
+    ``spec`` met its hypotheses when it was built, so nothing is re-checked.
     """
-    _validate(spec)
     n, p = spec.n, spec.p
     m = n - p
     if spec.family == "M4":
         if spec.alpha == 1:
-            return m4_1_witness(n, p)
+            return _m4_1_witness(n, p)
         degrees = {i - 1: i for i in range(1, m + 1)}
         for j in range(1, p // 2 + 1):
             degrees[m + j - 1] = m + 2 * j - 1          # y_j
@@ -348,13 +356,46 @@ def known_witness(spec: FamilySpec) -> DegreeAssignment | None:
     return None
 
 
+def _m4_1_witness(n: int, p: int) -> DegreeAssignment:
+    """The explicit degree table for M4(1): x_i in V_{i k}, k = n/(n-p).
+
+    Indices follow the catalog ordering x_1..x_{n-p}, y_1..y_{p/2},
+    z_1..z_{p/2}.  The spec's hypotheses give p even >= 4, n-p >= 4, n even
+    and (n-p) | n; the length check guards the formula, not the input.
+    """
+    m = n - p
+    k = n // m
+    half = p // 2
+    y = lambda j: m + j - 1
+    z = lambda j: m + half + j - 1
+    degrees = {i - 1: i * k for i in range(1, m + 1)}
+    degrees[y(1)] = 1
+    degrees[y(2)] = (m - 1) * k - 1
+    degrees[z(1)] = k + 1
+    degrees[z(2)] = m * k - 1
+    for i in range(3, k + 1):
+        degrees[y(i)] = i - 1
+        degrees[z(i)] = k + i - 1
+    for q in range(1, (m - 4) // 2 + 1):
+        for i in range(2, k + 1):
+            degrees[y(q * (k - 1) + i)] = 2 * q * k - 1 + i
+            degrees[z(q * (k - 1) + i)] = (2 * q + 1) * k - 1 + i
+    base = (m - 2) // 2 * (k - 1)
+    for i in range(2, k):
+        degrees[y(base + i)] = (m - 2) * k - 1 + i
+        degrees[z(base + i)] = (m - 1) * k - 1 + i
+    if len(degrees) != n:
+        raise InvalidInputError("M4(1) witness table did not cover the basis")
+    return DegreeAssignment(degrees)
+
+
 def generator_roles(spec: FamilySpec) -> GeneratorRoles:
     """Generator layout for the adapted-basis search, per family.  The
     driver, basis index 0, gets degree one there, which loses M4(8,4,1):
     its witness gives x1 degree n/(n-p) = 2 (see ``two_generator_search``)."""
     n, p = spec.n, spec.p
     m = n - p
-    if spec.family in ("L", "Q", "TAU_NP1", "TAU_NP2"):
+    if spec.family in _LIE_FAMILIES:
         return GeneratorRoles(driver=0, others=(1,), extra_draw=None)
     if spec.family == "M3":
         q = p // 2

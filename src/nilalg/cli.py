@@ -40,7 +40,6 @@ from .gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
     diagonal_search,
-    natural_gradation,
     two_generator_search,
     verify_gradation,
 )
@@ -49,6 +48,7 @@ from .invariants import (
     characteristic_sequence,
     is_p_filiform,
     lower_central_series,
+    nilindex,
 )
 
 THEOREM_PIPELINES = {
@@ -158,12 +158,13 @@ def cmd_invariants(args) -> int:
         report["error"] = {"kind": "not_nilpotent", "message": str(exc)}
         _emit(report, args.out)
         return 1
-    report["series_dims"] = list(series.dims)
-    report["nilindex"] = len(series.dims) - 1
+    dims = series.dims
+    report["series_dims"] = list(dims)
+    report["nilindex"] = nilindex(alg)
     report["characteristic_sequence"] = list(
         characteristic_sequence(alg, seed=seed))
-    report["natural_gradation_dims"] = list(
-        natural_gradation(alg).component_dims)
+    # the components of gr L are the drops of the series dims
+    report["natural_gradation_dims"] = [a - b for a, b in zip(dims, dims[1:])]
     _emit(report, args.out)
     return 0
 

@@ -449,16 +449,16 @@ def change_of_basis(alg: Algebra, m: Sequence[Sequence[Fraction]],
     return Algebra(n, tuple(labels), new_table)
 
 
-def abelian_algebra(dim: int, prefix: str = "e") -> Algebra:
-    """All products zero."""
-    return Algebra(dim, tuple(f"{prefix}{i + 1}" for i in range(dim)), {})
+def abelian_algebra(dim: int) -> Algebra:
+    """All products zero, on e1, ..., e_dim."""
+    return Algebra(dim, tuple(f"e{i + 1}" for i in range(dim)), {})
 
 
-def chain_algebra(dim: int, prefix: str = "e") -> Algebra:
+def chain_algebra(dim: int) -> Algebra:
     """Null-filiform chain [e_i, e_1] = e_{i+1}, 1 <= i <= dim-1."""
     products = {(i, 0): [(i + 1, Fraction(1))] for i in range(dim - 1)}
     return Algebra.from_products(
-        dim, tuple(f"{prefix}{i + 1}" for i in range(dim)), products)
+        dim, tuple(f"e{i + 1}" for i in range(dim)), products)
 
 
 # -- JSON interface ------------------------------------------------------

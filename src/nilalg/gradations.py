@@ -59,7 +59,6 @@ from .core import (
 )
 from .errors import DegenerateSampleError, InvalidInputError
 from .invariants import (
-    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     CentralSeries,
     characteristic_sequence,
@@ -261,59 +260,18 @@ def natural_gradation(alg: Algebra, series: CentralSeries | None = None
                             tuple(degrees), graded)
 
 
-def graded_fingerprint(alg: Algebra, samples: int = DEFAULT_SAMPLES,
-                       seed: int = DEFAULT_SEED) -> dict:
+def graded_fingerprint(alg: Algebra) -> dict:
     """Isomorphism-invariant record as plain data: dim, central series
     dims, characteristic sequence, whether the algebra is Lie, the natural
     gradation's component dims and dim L^2.  Equality is necessary for
-    isomorphism."""
-    cs = characteristic_sequence(alg, samples=samples, seed=seed)
-    return {"dim": alg.dim, "series_dims": list(lower_central_series(alg).dims),
+    isomorphism.  The component dims are the drops of the series dims,
+    since pivots(L^{k+1}) lie among pivots(L^k)."""
+    cs = characteristic_sequence(alg)
+    dims = lower_central_series(alg).dims
+    return {"dim": alg.dim, "series_dims": list(dims),
             "char_seq": list(cs), "is_lie": is_lie(alg),
-            "component_dims": list(natural_gradation(alg).component_dims),
+            "component_dims": [a - b for a, b in zip(dims, dims[1:])],
             "square_ideal_dim": square_ideal(alg).dim}
-
-
-# -- explicit witness for M4(1) ----------------------------------------------
-
-def m4_1_witness(n: int, p: int) -> DegreeAssignment:
-    """The explicit degree table for M4(1): x_i in V_{i k}, k = n/(n-p).
-
-    Indices follow the catalog ordering x_1..x_{n-p}, y_1..y_{p/2},
-    z_1..z_{p/2}.  Requires p even >= 4, n even, n-p >= 4 and (n-p) | n.
-    """
-    m = n - p
-    if p % 2 != 0 or p < 4:
-        raise InvalidInputError("M4(1) witness needs p even >= 4")
-    if m < 4:
-        raise InvalidInputError("M4(1) witness needs n-p >= 4")
-    if n % 2 != 0:
-        raise InvalidInputError("M4(1) witness needs n even")
-    if n % m != 0:
-        raise InvalidInputError("M4(1) witness needs (n-p) | n")
-    k = n // m
-    half = p // 2
-    y = lambda j: m + j - 1
-    z = lambda j: m + half + j - 1
-    degrees = {i - 1: i * k for i in range(1, m + 1)}
-    degrees[y(1)] = 1
-    degrees[y(2)] = (m - 1) * k - 1
-    degrees[z(1)] = k + 1
-    degrees[z(2)] = m * k - 1
-    for i in range(3, k + 1):
-        degrees[y(i)] = i - 1
-        degrees[z(i)] = k + i - 1
-    for q in range(1, (m - 4) // 2 + 1):
-        for i in range(2, k + 1):
-            degrees[y(q * (k - 1) + i)] = 2 * q * k - 1 + i
-            degrees[z(q * (k - 1) + i)] = (2 * q + 1) * k - 1 + i
-    base = (m - 2) // 2 * (k - 1)
-    for i in range(2, k):
-        degrees[y(base + i)] = (m - 2) * k - 1 + i
-        degrees[z(base + i)] = (m - 1) * k - 1 + i
-    if len(degrees) != n:
-        raise InvalidInputError("M4(1) witness table did not cover the basis")
-    return DegreeAssignment(degrees)
 
 
 # -- exhaustive diagonal search ----------------------------------------------
@@ -604,8 +562,6 @@ def two_generator_search(alg: Algebra, samples: int = 3,
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     l2 = lower_central_series(alg).derived_subalgebra
-    if l2.dim == n:
-        raise InvalidInputError("L^2 = L: the algebra has no generators")
     gen_indices = tuple(i for i in range(n) if i not in set(l2.pivots))
     if roles is None:
         role_choices = [GeneratorRoles(driver=g,

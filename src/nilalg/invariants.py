@@ -197,10 +197,7 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     if samples < 0:
         raise InvalidInputError(f"need samples >= 0, got samples={samples}")
     n = alg.dim
-    l2 = lower_central_series(alg).derived_subalgebra
-    if l2.dim == n:
-        raise InvalidInputError("L^2 = L: the algebra has no generators")
-    forms = l2.vanishing_forms()
+    forms = lower_central_series(alg).derived_subalgebra.vanishing_forms()
     _, index = alg.integer_index
     bounds: dict[tuple[int, ...], tuple[int, ...]] = {}
     best = ceiling = None
@@ -293,12 +290,11 @@ def _pruned_char_seq(index, n: int, x, best: tuple[int, ...] | None,
         ranks += (space.dim,)
 
 
-def is_p_filiform(alg: Algebra, p: int, samples: int = DEFAULT_SAMPLES,
-                  seed: int = DEFAULT_SEED) -> bool:
+def is_p_filiform(alg: Algebra, p: int, seed: int = DEFAULT_SEED) -> bool:
     """True iff C(L) = (n-p, 1, ..., 1) with exactly p trailing ones."""
     if isinstance(p, bool) or not isinstance(p, int):
         raise InvalidInputError(f"p must be an integer, got {p!r}")
     if p < 0 or p >= alg.dim:
         raise InvalidInputError(f"need 0 <= p < dim, got p={p}, dim={alg.dim}")
     expected = (alg.dim - p,) + (1,) * p
-    return characteristic_sequence(alg, samples=samples, seed=seed) == expected
+    return characteristic_sequence(alg, seed=seed) == expected

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nilalg import catalog
 from nilalg import (
     FamilySpec,
     InvalidInputError,
@@ -43,7 +44,7 @@ def test_make_m4_bracket_example(m4_10_4_0):
 
 def test_make_m4_alpha1_divisibility_rejected():
     with pytest.raises(InvalidInputError):
-        make(FamilySpec("M4", 12, 4, (), 1))  # 8 does not divide 12
+        FamilySpec("M4", 12, 4, (), 1)  # 8 does not divide 12
 
 
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: s.name())
@@ -67,29 +68,47 @@ def test_grid_lie_verdicts(spec, grid_algebras):
 
 # -- hypotheses validation ------------------------------------------------------
 
+# Each entry is the fields of a spec and the hypothesis it violates; the
+# spec is refused when it is built, so none of them can reach ``make``.
 @pytest.mark.parametrize("spec", [
-    FamilySpec("L", 12, 4, (3, 5, 8)),       # even r
-    FamilySpec("L", 12, 4, (3, 5)),          # wrong count
-    FamilySpec("L", 12, 4, (3, 7, 5)),       # not increasing
-    FamilySpec("L", 10, 4, (3, 5, 7)),       # n below max(3p-1, p+8)
-    FamilySpec("Q", 12, 4, (3, 5, 7)),       # n-p even
-    FamilySpec("TAU_NP1", 13, 4, (3, 5)),    # n-p odd makes r_{p-1} even
-    FamilySpec("M1", 8, 3),                  # p odd
-    FamilySpec("M3", 8, 4),                  # p even
-    FamilySpec("M3", 5, -1),                 # p odd but below 1
-    FamilySpec("M3", 0, -5),                 # p odd but below 1
-    FamilySpec("M4", 7, 4, (), 0),           # n-p < 4
-    FamilySpec("M4", 10, 4, (), 2),          # alpha outside {0,1}
-    FamilySpec("M5", 10, 4, (3,)),           # stray r parameters
+    (("L", 12, 4, (3, 5, 8)), "all r_j odd"),
+    (("L", 12, 4, (3, 5)), "exactly p-1 = 3 parameters r_j (got 2)"),
+    (("L", 12, 4, (3, 7, 5)), "r_1 < r_2 < ... strictly increasing"),
+    (("L", 10, 4, (3, 5, 7)), "n >= max(3p-1, p+8) = 12"),
+    (("Q", 12, 4, (3, 5, 7)), "n-p odd (required by the Q table)"),
+    (("TAU_NP1", 13, 4, (3, 5)), "all r_j odd"),  # n-p odd: r_{p-1} even
+    (("M1", 8, 3), "p even"),
+    (("M3", 8, 4), "p odd"),
+    (("M3", 5, -1), "p >= 1"),
+    (("M3", 0, -5), "p >= 1"),
+    (("M4", 7, 4, (), 0), "n-p >= 4"),
+    (("M4", 10, 4, (), 2), "alpha in {0, 1}"),
+    (("M5", 10, 4, (3,)), "r parameters apply only to L/Q/tau"),
 ])
 def test_make_rejects_bad_parameters(spec):
-    with pytest.raises(InvalidInputError):
-        make(spec)
+    fields, hypothesis = spec
+    with pytest.raises(InvalidInputError) as exc:
+        FamilySpec(*fields)
+    assert str(exc.value).endswith(f": violated hypothesis: {hypothesis}")
 
 
 def test_error_names_hypothesis():
     with pytest.raises(InvalidInputError, match="divides"):
-        make(FamilySpec("M4", 12, 4, (), 1))
+        FamilySpec("M4", 12, 4, (), 1)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("L", 12, 4, (3, 5, 7)),
+                                  FamilySpec("M3", 9, 5),
+                                  FamilySpec("M4", 12, 6, (), 1),
+                                  FamilySpec("M5", 10, 4)], ids=FamilySpec.name)
+def test_built_spec_is_not_validated_again(spec, monkeypatch):
+    # the hypotheses are checked once, when the spec is built
+    def refuse(_):
+        raise AssertionError("spec validated again")
+    monkeypatch.setattr(catalog, "_validate", refuse)
+    assert make(spec).dim == spec.n
+    known_witness(spec)
+    generator_roles(spec)
 
 
 # -- paper witnesses -------------------------------------------------------------

@@ -448,11 +448,17 @@ def test_reproduce_mismatch_exit_1(tmp_path):
     assert report["first_counterexample"] == "M3(9, 5)"
 
 
-def test_reproduce_construction_error_exit_2(tmp_path):
+def test_reproduce_construction_error_exit_2(tmp_path, capsys):
+    # each entry is checked whole as it is read, so the first bad entry in
+    # file order is the one reported, whatever the second one's fault
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(
-        [{"family": "M4", "n": 12, "p": 4, "alpha": 1}]))
+        [{"family": "M4", "n": 12, "p": 4, "alpha": 1},
+         {"family": "M5", "n": "10", "p": 4}]))
     assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
+    assert capsys.readouterr().err == (
+        "error: M4(12, 4, alpha=1): violated hypothesis: "
+        "(n-p) divides n (required by M4(1))\n")
 
 
 def test_reproduce_empty_grid_exit_2(tmp_path, capsys):

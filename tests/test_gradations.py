@@ -23,10 +23,10 @@ from nilalg import (
     generator_roles,
     graded_fingerprint,
     is_p_filiform,
-    m4_1_witness,
     make,
     natural_gradation,
     known_witness,
+    lower_central_series,
     two_generator_search,
     verify_gradation,
 )
@@ -122,6 +122,27 @@ def test_natural_gradation_closure_by_construction(grid_algebras):
                     assert degs[k] == target, spec.name()
 
 
+def _series_drops(alg):
+    dims = lower_central_series(alg).dims
+    return tuple(a - b for a, b in zip(dims, dims[1:]))
+
+
+def test_component_dims_are_series_drops_on_grid(grid_algebras):
+    # pivots(L^{k+1}) lie among pivots(L^k), so gr L has a component of
+    # dim L^k - dim L^{k+1} in each degree k
+    for spec, alg in grid_algebras.items():
+        assert natural_gradation(alg).component_dims == _series_drops(alg), \
+            spec.name()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       dim=st.integers(min_value=1, max_value=9))
+def test_component_dims_are_series_drops_on_random_tables(seed, dim):
+    alg = random_nilpotent_algebra(random.Random(seed), dim)
+    assert natural_gradation(alg).component_dims == _series_drops(alg)
+
+
 def test_graded_fingerprints_match(grid_algebras):
     for spec, alg in grid_algebras.items():
         if spec.family.startswith("M"):
@@ -137,8 +158,9 @@ def test_fingerprint_separates_m1_from_abelian(m1_8_4):
 # -- the explicit M4(1) witness -------------------------------------------------------
 
 def test_m4_1_witness_12_6_exact_table():
-    alg = make(FamilySpec("M4", 12, 6, (), 1))
-    w = m4_1_witness(12, 6)
+    spec = FamilySpec("M4", 12, 6, (), 1)
+    alg = make(spec)
+    w = known_witness(spec)
     by_label = {alg.basis_labels[i]: d for i, d in w.degrees.items()}
     assert by_label == {"x1": 2, "x2": 4, "x3": 6, "x4": 8, "x5": 10, "x6": 12,
                         "y1": 1, "y3": 5, "y2": 9, "z1": 3, "z3": 7, "z2": 11}
@@ -146,8 +168,9 @@ def test_m4_1_witness_12_6_exact_table():
 
 
 def test_m4_1_witness_16_8_verifies():
-    alg = make(FamilySpec("M4", 16, 8, (), 1))
-    w = m4_1_witness(16, 8)
+    spec = FamilySpec("M4", 16, 8, (), 1)
+    alg = make(spec)
+    w = known_witness(spec)
     report = verify_gradation(alg, w)
     assert report.is_maximum_length
     assert sorted(w.degrees.values()) == list(range(1, 17))
@@ -155,13 +178,14 @@ def test_m4_1_witness_16_8_verifies():
 
 def test_m4_1_witness_with_larger_step():
     # k_s = 3 at (12, 8): the interleaving blocks with i up to k_s engage
-    alg = make(FamilySpec("M4", 12, 8, (), 1))
-    assert verify_gradation(alg, m4_1_witness(12, 8)).is_maximum_length
+    spec = FamilySpec("M4", 12, 8, (), 1)
+    assert verify_gradation(make(spec), known_witness(spec)).is_maximum_length
 
 
 def test_m4_1_witness_rejects_non_divisible():
-    with pytest.raises(InvalidInputError):
-        m4_1_witness(12, 4)
+    # (12, 4) has no witness table: its spec is refused when it is built
+    with pytest.raises(InvalidInputError, match="divides"):
+        FamilySpec.from_dict({"family": "M4", "n": 12, "p": 4, "alpha": 1})
 
 
 # -- diagonal search ------------------------------------------------------------------
@@ -399,5 +423,5 @@ def test_search_rejects_roles_outside_the_basis(roles):
 def test_search_perfect_algebra_rejected():
     from nilalg import NotNilpotentError
     alg = Algebra.from_products(1, ("e1",), {(0, 0): [(0, F(1))]})
-    with pytest.raises((NotNilpotentError, InvalidInputError)):
+    with pytest.raises(NotNilpotentError, match="stalls at dimension 1"):
         two_generator_search(alg)

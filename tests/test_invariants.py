@@ -212,7 +212,7 @@ def test_characteristic_sequence_skips_pair_sums_in_l2():
 
 def test_characteristic_sequence_rejects_perfect():
     alg = Algebra.from_products(1, ("e1",), {(0, 0): [(0, F(1))]})
-    with pytest.raises((InvalidInputError, NotNilpotentError)):
+    with pytest.raises(NotNilpotentError, match="stalls at dimension 1"):
         characteristic_sequence(alg)
 
 
@@ -376,8 +376,6 @@ def test_sweep_runs_in_full_below_ceiling(monkeypatch):
 def test_characteristic_sequence_rejects_non_int_samples(m1_8_4, samples):
     with pytest.raises(InvalidInputError, match="samples must be an integer"):
         characteristic_sequence(m1_8_4, samples=samples)
-    with pytest.raises(InvalidInputError, match="samples must be an integer"):
-        is_p_filiform(m1_8_4, 4, samples=samples)
 
 
 @pytest.mark.parametrize("p", (4.0, True, "4"))
@@ -427,7 +425,7 @@ def _terms(series):
 
 
 def _catalog_specs(n_max):
-    """Every spec ``make`` accepts with n <= n_max, with its algebra."""
+    """Every spec the catalog accepts with n <= n_max, with its algebra."""
     odd = range(3, n_max + 1, 2)
     for family in FAMILIES:
         for n in range(3, n_max + 1):
@@ -439,12 +437,11 @@ def _catalog_specs(n_max):
                     options = [(r, None) for k in (p - 2, p - 1) if k >= 0
                                for r in combinations(odd, k)]
                 for r, alpha in options:
-                    spec = FamilySpec(family, n, p, r, alpha)
                     try:
-                        alg = make(spec)
+                        spec = FamilySpec(family, n, p, r, alpha)
                     except InvalidInputError:
                         continue
-                    yield spec, alg
+                    yield spec, make(spec)
 
 
 def test_integer_series_matches_fraction_reference_on_catalog():
