@@ -220,12 +220,18 @@ class Algebra:
     def from_products(dim: int, labels: Sequence[str],
                       products: Mapping[tuple[int, int],
                                         Iterable[tuple[int, Fraction]]]) -> "Algebra":
-        """Build from sparse products {(i, j): [(k, coeff), ...]}."""
+        """Build from sparse products {(i, j): [(k, coeff), ...]}; every
+        index must lie in [0, dim)."""
         table = {}
         for (i, j), terms in products.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise InvalidInputError(f"bracket index ({i},{j}) out of range")
             vec = [ZERO] * dim
             touched = []
             for k, c in terms:
+                if not 0 <= k < dim:
+                    raise InvalidInputError(
+                        f"bracket ({i},{j}): target index {k} out of range")
                 vec[k] += Fraction(c)
                 touched.append(k)
             if any(map(vec.__getitem__, touched)):
@@ -502,8 +508,6 @@ def algebra_from_dict(data: dict) -> Algebra:
         if i is None or key != f"{i},{j}":
             raise InvalidInputError(
                 f"brackets key {key!r} is not of the form 'i,j'")
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise InvalidInputError(f"brackets key {key!r}: index out of range")
         if not isinstance(terms, list):
             raise InvalidInputError(f"brackets[{key!r}] must be a list")
         parsed = []
@@ -512,11 +516,7 @@ def algebra_from_dict(data: dict) -> Algebra:
                     or isinstance(t[0], bool) or not isinstance(t[1], str)):
                 raise InvalidInputError(
                     f"brackets[{key!r}] entries must be [index, \"num/den\"]")
-            k, scalar = t
-            if not (0 <= k < dim):
-                raise InvalidInputError(
-                    f"brackets[{key!r}]: target index {k} out of range")
-            parsed.append((k, parse_scalar(scalar)))
+            parsed.append((t[0], parse_scalar(t[1])))
         products[(i, j)] = parsed
     return Algebra.from_products(dim, basis, products)
 

@@ -25,7 +25,7 @@ from .core import (
     right_image,
 )
 from .errors import InvalidInputError, NotNilpotentError
-from .linalg import RowSpace, Vector, mat_vec, unit_vector
+from .linalg import RowSpace, Vector, mat_vec
 
 DEFAULT_SEED = 20260
 DEFAULT_SAMPLES = 25
@@ -74,40 +74,46 @@ def _profile_from_ranks(ranks) -> tuple[int, ...]:
     return tuple(profile)
 
 
-def nilpotent_block_profile(m) -> tuple[int, ...]:
-    """Jordan block sizes of a nilpotent matrix, sorted descending.
+def _rank_descent(apply, n: int):
+    """Yield rank(m), rank(m^2), ..., 0 for the n x n operator m that
+    ``apply`` maps a vector through.
 
-    Block counts come from the kernel-dimension sequence of powers: the
-    number of blocks of size >= k equals dim ker(m^k) - dim ker(m^{k-1}).
-    Raises InvalidInputError when the rank sequence shows m is not
-    nilpotent (rank stalls above zero).
+    The walk starts from the unit rows; at each step the images of the
+    current basis span the next image, and the images that enlarge its
+    ``RowSpace`` are its basis for the step after.  Raises
+    NotNilpotentError when a rank does not fall, since then m is not
+    nilpotent.
+    """
+    vectors = _unit_rows(n)
+    rank = n
+    while rank:
+        space = RowSpace(n)
+        vectors = [v for v in map(apply, vectors) if space.add(v)]
+        if space.dim >= rank:
+            raise NotNilpotentError(
+                f"operator is not nilpotent (rank descent stalls at {rank})")
+        rank = space.dim
+        yield rank
+
+
+def nilpotent_block_profile(m) -> tuple[int, ...]:
+    """Jordan block sizes of a nilpotent matrix, sorted descending, from
+    the ranks of its powers.
+
+    Raises InvalidInputError when m is not square and NotNilpotentError
+    when the rank descent stalls above zero.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise InvalidInputError("matrix is not square")
-    # Iterated images: rank(m^k) = dim of m applied k times to the whole space.
-    ranks = [n]
-    image = [unit_vector(n, i) for i in range(n)]
-    while ranks[-1] > 0:
-        space = RowSpace(n)
-        for vec in image:
-            space.add(mat_vec(m, vec))
-        r = space.dim
-        if r >= ranks[-1]:
-            raise InvalidInputError("matrix is not nilpotent (rank descent stalls)")
-        ranks.append(r)
-        image = list(space.rows())
-    return _profile_from_ranks(ranks)
+    return _profile_from_ranks((n, *_rank_descent(lambda v: mat_vec(m, v), n)))
 
 
 def char_seq_at(alg: Algebra, x) -> tuple[int, ...]:
     """C(x): Jordan profile of R_x for x outside L^2, descending."""
     if lower_central_series(alg).derived_subalgebra.contains(x):
         raise InvalidInputError("x lies in L^2; C(x) requires x outside L^2")
-    try:
-        return nilpotent_block_profile(right_mult_matrix(alg, x))
-    except InvalidInputError as exc:
-        raise NotNilpotentError(f"R_x is not nilpotent: {exc}") from exc
+    return nilpotent_block_profile(right_mult_matrix(alg, x))
 
 
 def draw_scaled_rationals(rng: random.Random, count: int, top: int, den: int,
@@ -151,46 +157,17 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
 
     The test set holds every basis vector outside L^2, every pairwise sum
     of two such basis vectors that also lies outside L^2, and ``samples``
-    seeded random rational vectors outside L^2.  The maximum of C(x) is
-    attained on a dense open subset of L \\ L^2, so this finite sweep is
-    generically exact; formally the result is a lower bound in the
-    lexicographic order.
+    seeded random rational vectors outside L^2, drawn scaled by 12 to
+    integers (C(lambda x) = C(x)).  The maximum of C(x) is attained on a
+    dense open subset of L \\ L^2, so this finite sweep is generically
+    exact; formally the result is a lower bound in the lexicographic order.
 
-    The sweep runs on Python integers.  C(lambda x) = C(x) for lambda != 0,
-    so each random vector is drawn scaled by 12, which clears every
-    denominator of its entries; and the table is scaled by the common
-    denominator D of its structure constants, which turns R_x^k into
-    D^k R_x^k and leaves every rank, hence every C(x), unchanged.  The
-    draws come from ``draw_scaled_rationals``, which reproduces the
-    ``randint`` stream from ``getrandbits``.  Membership in L^2 is read
-    from the integer forms that vanish on it, the ``vanishing_forms`` of
-    the series' own ``RowSpace`` for L^2, built once per sweep, so each
-    test is a few dot products.  Each candidate's R_x is built once, as the
-    sparse columns of ``right_columns``; every rank step applies them with
-    ``right_image`` and ranks the images in ``RowSpace``, which eliminates
-    fraction-free on integers, so no ``Fraction`` enters the loop.  ``char_seq_at`` and ``nilpotent_block_profile`` remain the
-    ``Fraction`` reference for a single vector.
-
-    Candidates are visited in that order and each is dropped as soon as it
-    cannot beat the best sequence so far.  This is exact: R_x^k(L) lies in
-    L^{k+1}, so once the central series reaches zero R_x is nilpotent and
-    the ranks of its powers fall strictly.  Of all completions of the ranks
-    seen so far, the one falling by one per step is the only one with the
-    longest first block, so its profile is the lexicographic maximum; when
-    that bound is <= the best so far, C(x) cannot exceed it, and an equal
-    sequence never changes the maximum.  The result is therefore the same
-    lexicographic maximum that computing C(x) on every candidate gives.
-    The bound depends only on the ranks seen so far, so one sweep computes
-    it once per rank prefix.
-
-    The sweep stops at a ceiling no x can beat.  A nilpotent R_x of rank r
-    has n - r Jordan blocks, so C(x) is at most the hook (r + 1, 1, ..., 1),
-    which grows with r; and R_x maps U = {y : [y, L] lies in L^3} into L^3,
-    so r <= r_bar = codim U + dim L^3 for every x (``_rank_ceiling``).
-    Once the best equals the hook of r_bar + 1 no later candidate can
-    change the maximum, so the candidates after it, random draws included,
-    are never built.  The M3/M4/M5 families reach it; on the Lie families
-    r_bar exceeds the generic rank and the sweep runs in full.
+    The one bound is the hook of a rank: a nilpotent R_x of rank r has
+    n - r Jordan blocks, so C(x) <= (r + 1, 1, ..., 1).  A candidate whose
+    first rank gives a hook <= the best so far is dropped after one step
+    (``_pruned_char_seq``), and the sweep stops once the best equals the
+    hook of r_bar, a bound on rank R_x over every x (``_rank_ceiling``).
+    Neither changes the maximum.
     """
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise InvalidInputError(f"samples must be an integer, got {samples!r}")
@@ -199,18 +176,21 @@ def characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMPLES,
     n = alg.dim
     forms = lower_central_series(alg).derived_subalgebra.vanishing_forms()
     _, index = alg.integer_index
-    bounds: dict[tuple[int, ...], tuple[int, ...]] = {}
-    best = ceiling = None
+    ceiling = _hook(n, _rank_ceiling(alg))
+    best = None
     for x in _candidates(n, forms, samples, seed):
-        seq = _pruned_char_seq(index, n, x, best, bounds)
+        seq = _pruned_char_seq(index, n, x, best)
         if seq is not None:
             best = seq
-            if ceiling is None:
-                r_bar = _rank_ceiling(alg)
-                ceiling = (r_bar + 1,) + (1,) * (n - r_bar - 1)
             if best == ceiling:
                 break
     return best
+
+
+def _hook(n: int, r: int) -> tuple[int, ...]:
+    """(r + 1, 1, ..., 1): the largest profile of a nilpotent n x n
+    operator of rank r, which has n - r Jordan blocks."""
+    return (r + 1,) + (1,) * (n - r - 1)
 
 
 def _candidates(n: int, forms, samples: int, seed: int):
@@ -253,41 +233,22 @@ def _rank_ceiling(alg: Algebra) -> int:
     return RowSpace(n, rows.values()).dim + n - len(forms)
 
 
-def _pruned_char_seq(index, n: int, x, best: tuple[int, ...] | None,
-                     bounds: dict | None = None) -> tuple[int, ...] | None:
+def _pruned_char_seq(index, n: int, x, best: tuple[int, ...] | None
+                     ) -> tuple[int, ...] | None:
     """C(x) if it is lexicographically above ``best``, else None.
 
     ``index`` is the algebra's ``integer_index`` and ``x`` an integer
-    vector.  Walks the ranks of R_x^k: image_0 is spanned by the unit rows,
-    image_{k+1} by the ``right_image`` [v, x] of a basis v of image_k
-    through the columns ``right_columns`` gives for x.  The walk stops as
-    soon as the lex-max completion of the ranks so far, which falls by one
-    per step, gives a profile <= ``best``.  ``bounds`` caches that profile
-    by rank prefix across the calls of one sweep.
+    vector; R_x is applied through the sparse columns ``right_columns``
+    gives for x.  When the hook of rank R_x is <= ``best`` the walk stops
+    after its first step.
     """
-    if bounds is None:
-        bounds = {}
     columns = right_columns(index, n, x)
-    ranks = (n,)
-    vectors = _unit_rows(n)
-    while True:
-        bound = bounds.get(ranks)
-        if bound is None:
-            bound = bounds[ranks] = _profile_from_ranks(
-                ranks + tuple(range(ranks[-1] - 1, -1, -1)))
-        if best is not None and bound <= best:
-            return None
-        if ranks[-1] == 0:
-            return bound
-        vectors = [right_image(columns, v) for v in vectors]
-        # The vectors that enlarge the image form a basis of it, and R_x
-        # maps any basis of image_k onto a spanning set of image_{k+1}.
-        space = RowSpace(n)
-        vectors = [v for v in vectors if space.add(v)]
-        if space.dim >= ranks[-1]:
-            raise NotNilpotentError(
-                "R_x is not nilpotent: matrix is not nilpotent (rank descent stalls)")
-        ranks += (space.dim,)
+    ranks = _rank_descent(lambda v: right_image(columns, v), n)
+    first = next(ranks)
+    if best is not None and _hook(n, first) <= best:
+        return None
+    seq = _profile_from_ranks((n, first, *ranks))
+    return seq if best is None or seq > best else None
 
 
 def is_p_filiform(alg: Algebra, p: int, seed: int = DEFAULT_SEED) -> bool:

@@ -34,7 +34,6 @@ from math import lcm
 
 from nilalg import (
     Algebra,
-    InvalidInputError,
     NotNilpotentError,
     char_seq_at,
 )
@@ -357,8 +356,6 @@ def exhaustive_characteristic_sequence(alg: Algebra, samples: int = DEFAULT_SAMP
     n = alg.dim
     series = fraction_lower_central_series(alg)
     l2 = series.derived_subalgebra
-    if l2.dim == n:
-        raise InvalidInputError("L^2 = L: the algebra has no generators")
     candidates = []
     outside = [i for i in range(n) if not l2.contains(unit_vector(n, i))]
     for i in outside:

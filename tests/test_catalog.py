@@ -42,11 +42,6 @@ def test_make_m4_bracket_example(m4_10_4_0):
         == vec_of(m4_10_4_0, "z1")
 
 
-def test_make_m4_alpha1_divisibility_rejected():
-    with pytest.raises(InvalidInputError):
-        FamilySpec("M4", 12, 4, (), 1)  # 8 does not divide 12
-
-
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: s.name())
 def test_grid_leibniz_clean(spec, grid_algebras):
     assert check_leibniz(grid_algebras[spec]).ok
@@ -84,17 +79,13 @@ def test_grid_lie_verdicts(spec, grid_algebras):
     (("M4", 7, 4, (), 0), "n-p >= 4"),
     (("M4", 10, 4, (), 2), "alpha in {0, 1}"),
     (("M5", 10, 4, (3,)), "r parameters apply only to L/Q/tau"),
+    (("M4", 12, 4, (), 1), "(n-p) divides n (required by M4(1))"),
 ])
 def test_make_rejects_bad_parameters(spec):
     fields, hypothesis = spec
     with pytest.raises(InvalidInputError) as exc:
         FamilySpec(*fields)
     assert str(exc.value).endswith(f": violated hypothesis: {hypothesis}")
-
-
-def test_error_names_hypothesis():
-    with pytest.raises(InvalidInputError, match="divides"):
-        FamilySpec("M4", 12, 4, (), 1)
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("L", 12, 4, (3, 5, 7)),

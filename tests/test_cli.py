@@ -162,6 +162,8 @@ def test_invariants_schema_violation_exit_2(tmp_path, capsys):
                  # a key other than "i,j", a key given twice
                  b'{"dim": true, "basis": ["a"], "brackets": {}}',
                  b'{"dim": 2, "basis": ["a", "b"], "brackets": {"0,0": [[true, "1"]]}}',
+                 # a target index counted from the end
+                 b'{"dim": 2, "basis": ["a", "b"], "brackets": {"0,0": [[-1, "1"]]}}',
                  b'{"dim": 2, "basis": ["a", "b"], "brackets": {"0, 0": [[1, "1"]]}}',
                  b'{"dim": 11, "basis": ["a", "b", "c", "d", "e", "f", "g", "h", '
                  b'"i", "j", "k"], "brackets": {"1_0,0": [[1, "1"]]}}',

@@ -226,6 +226,16 @@ def test_algebra_json_rejects_bad_index():
         algebra_from_json(bad)
 
 
+@pytest.mark.parametrize("products", [{(0, 1): [(-1, 1)]}, {(0, 1): [(3, 1)]},
+                                      {(0, 3): []}])
+def test_from_products_rejects_out_of_range_indices(products):
+    # a negative target would name a basis vector from the end, k = dim
+    # would raise a bare IndexError, and a key with no terms stores nothing
+    # for Algebra to check
+    with pytest.raises(InvalidInputError, match="out of range"):
+        Algebra.from_products(3, ("e1", "e2", "e3"), products)
+
+
 def test_algebra_json_rejects_bad_scalar():
     # "1e5000" used to parse, then fail when the report formatted it; so did
     # a decimal whose denominator 10^4300 has 4301 digits

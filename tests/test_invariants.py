@@ -145,8 +145,10 @@ def test_profile_m1_right_mult(m1_8_4):
 
 
 def test_profile_rejects_non_nilpotent():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(NotNilpotentError, match="rank descent stalls"):
         nilpotent_block_profile(identity(4))
+    with pytest.raises(InvalidInputError, match="not square"):
+        nilpotent_block_profile(((F(0), F(1)),))
 
 
 def test_profile_against_constructed_partitions():
@@ -273,6 +275,25 @@ def test_characteristic_sequence_matches_exhaustive_on_seeded_tables():
         samples = seed % 13
         assert (characteristic_sequence(alg, samples=samples, seed=seed)
                 == exhaustive_characteristic_sequence(alg, samples=samples, seed=seed)), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(char_seq_cases())
+def test_pruned_walk_returns_exactly_what_beats_best(case):
+    # for every candidate x of the sweep and every best among the hooks of
+    # each rank and the other candidates' C, the walk gives C(x) when it
+    # beats best and None otherwise, an equal C included
+    alg, samples, seed = case
+    n = alg.dim
+    _, index = alg.integer_index
+    forms = lower_central_series(alg).derived_subalgebra.vanishing_forms()
+    xs = list(invariants._candidates(n, forms, samples, seed))
+    seqs = [char_seq_at(alg, tuple(F(c) for c in x)) for x in xs]
+    bests = set(seqs) | {_hook(n, r) for r in range(n)}
+    for x, seq in zip(xs, seqs):
+        for best in bests:
+            assert (invariants._pruned_char_seq(index, n, x, best)
+                    == (seq if seq > best else None)), (x, best)
 
 
 def test_characteristic_sequence_prunes_candidates(monkeypatch):
@@ -564,7 +585,7 @@ def test_integer_walk_rejects_non_nilpotent_operator():
     for alg, x in ((one, (3,)), (two, (1, 0))):
         with pytest.raises(NotNilpotentError):
             invariants._pruned_char_seq(alg.integer_index[1], alg.dim, x, None)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(NotNilpotentError):
             nilpotent_block_profile(right_mult_matrix(alg, tuple(F(c) for c in x)))
 
 
