@@ -42,6 +42,11 @@ def test_make_m4_bracket_example(m4_10_4_0):
         == vec_of(m4_10_4_0, "z1")
 
 
+def test_make_m4_alpha1_divisibility_rejected():
+    with pytest.raises(InvalidInputError):
+        FamilySpec("M4", 12, 4, (), 1)  # 8 does not divide 12
+
+
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: s.name())
 def test_grid_leibniz_clean(spec, grid_algebras):
     assert check_leibniz(grid_algebras[spec]).ok
@@ -86,6 +91,11 @@ def test_make_rejects_bad_parameters(spec):
     with pytest.raises(InvalidInputError) as exc:
         FamilySpec(*fields)
     assert str(exc.value).endswith(f": violated hypothesis: {hypothesis}")
+
+
+def test_error_names_hypothesis():
+    with pytest.raises(InvalidInputError, match="divides"):
+        FamilySpec("M4", 12, 4, (), 1)
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("L", 12, 4, (3, 5, 7)),
