@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -28,6 +29,7 @@ from .linalg import (
     RowSpace,
     Vector,
     ZERO,
+    _stored_space,
     invert,
     row_times_mat,
     unit_vector,
@@ -94,7 +96,7 @@ def parse_scalar(text: str) -> Fraction:
 
 def format_scalar(value: Fraction) -> str:
     """Canonical rational string: reduced, positive denominator, no "/1"."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,23 @@ class Algebra:
         ``RowSpace`` in ascending j.  The rows that enlarge it form a basis
         of L^{k+1} and feed the next step, and that ``RowSpace`` is the
         term, so each term is eliminated once; its span is that of its
-        ``Fraction`` brackets.
+        ``Fraction`` brackets.  L^1 holds the unit rows as they are, and L^2
+        is read off the table: the distinct entries, t then j ascending.
         """
         n = self.dim
         _, index = self.integer_index
         basis = _unit_rows(n)
-        terms = [RowSpace(n, basis)]
+        terms = [_stored_space(n, basis, range(n))]
+        rows = [[d.get(k, 0) for k in range(n)] for d in map(dict, dict.fromkeys(
+            e for t in sorted(index) for _, e in sorted(index[t])))]
         while basis:  # basis: integer rows spanning the last term
             space = RowSpace(n)
-            image = []
+            image = [w for w in rows if space.add(w)]
+            if len(image) >= len(basis):
+                raise NotNilpotentError(
+                    f"descending central sequence stalls at dimension {len(basis)}")
+            terms.append(space)
+            basis, rows = image, []
             for v in basis:
                 images: dict[int, list[int]] = defaultdict(([0] * n).copy)
                 for t, c in enumerate(v):
@@ -206,12 +216,7 @@ class Algebra:
                             w = images[j]  # [v, e_j]
                             for k, a in entries:
                                 w[k] += c * a
-                image.extend(w for _, w in sorted(images.items()) if space.add(w))
-            if len(image) >= len(basis):
-                raise NotNilpotentError(
-                    f"descending central sequence stalls at dimension {len(basis)}")
-            terms.append(space)
-            basis = image
+                rows.extend(w for _, w in sorted(images.items()))
         return CentralSeries(tuple(terms))
 
     # -- construction helpers -------------------------------------------
@@ -477,7 +482,17 @@ def algebra_to_dict(alg: Algebra) -> dict:
 
 
 def algebra_to_json(alg: Algebra) -> str:
-    return json.dumps(algebra_to_dict(alg), indent=2, sort_keys=True)
+    """``json.dumps(algebra_to_dict(alg), indent=2, sort_keys=True)``, written
+    straight from ``_entries`` with the encoder's ASCII quoting."""
+    quote = encode_basestring_ascii
+    entries = ",\n    ".join(f'"{key}": [\n      ' + ",\n      ".join(
+        f"[\n        {k},\n        {quote(format_scalar(c))}\n      ]" for k, c in terms)
+        + "\n    ]" for key, terms in sorted(  # keys sorted as strings
+            (f"{i},{j}", terms) for (i, j), terms in alg._entries.items()))
+    basis = ",\n    ".join(map(quote, alg.basis_labels))
+    brackets = f"{{\n    {entries}\n  }}" if entries else "{}"
+    return (f'{{\n  "basis": [\n    {basis}\n  ],\n  "brackets": {brackets},\n'
+            f'  "dim": {alg.dim}\n}}')
 
 
 def algebra_from_dict(data: dict) -> Algebra:
@@ -517,6 +532,8 @@ def algebra_from_dict(data: dict) -> Algebra:
                 raise InvalidInputError(
                     f"brackets[{key!r}] entries must be [index, \"num/den\"]")
             parsed.append((t[0], parse_scalar(t[1])))
+        if len({k for k, _ in parsed}) < len(parsed):
+            raise InvalidInputError(f"brackets[{key!r}] names a target index twice")
         products[(i, j)] = parsed
     return Algebra.from_products(dim, basis, products)
 

@@ -223,11 +223,16 @@ def _rank_ceiling(alg: Algebra) -> int:
     terms = lower_central_series(alg).terms
     forms = (terms[2] if len(terms) > 2 else RowSpace(n)).vanishing_forms()
     _, index = alg.integer_index
+    by_coord = [[(f, form[k]) for f, form in enumerate(forms) if form[k]]
+                for k in range(n)]  # the forms transposed, zeros dropped
     rows: dict[tuple[int, int], list[int]] = {}
     for i, entries in index.items():
         for t, image in entries:  # image: the terms of D [e_i, e_t]
-            for f, form in enumerate(forms):
-                value = sum(form[k] * c for k, c in image)
+            values: dict[int, int] = {}
+            for k, c in image:
+                for f, a in by_coord[k]:
+                    values[f] = values.get(f, 0) + a * c
+            for f, value in values.items():
                 if value:
                     rows.setdefault((t, f), [0] * n)[i] = value
     return RowSpace(n, rows.values()).dim + n - len(forms)

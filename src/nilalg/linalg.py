@@ -155,6 +155,13 @@ class RowSpace:
         return False
 
 
+def _stored_space(ncols: int, rows, pivots) -> RowSpace:
+    """A ``RowSpace`` storing integer ``rows`` on ``pivots`` as ``add`` would."""
+    space = RowSpace(ncols)
+    space._rows, space._pivots = [list(row) for row in rows], list(pivots)
+    return space
+
+
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     nonzero = [(j, c) for j, c in enumerate(v) if c]
     out = []

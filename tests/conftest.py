@@ -2,6 +2,8 @@ import pytest
 
 from nilalg import FamilySpec, make
 
+from oracles import catalog_specs
+
 # The acceptance instance grid (criterion 1); reused by several modules.
 GRID = (
     FamilySpec("L", 12, 4, (3, 5, 7)),
@@ -46,3 +48,9 @@ def m5_10_4():
 @pytest.fixture(scope="session")
 def l_12_4():
     return make(FamilySpec("L", 12, 4, (3, 5, 7)))
+
+
+@pytest.fixture(scope="session")
+def catalog_16():
+    """Every catalog algebra with n <= 16, built once: (spec, algebra) pairs."""
+    return tuple(catalog_specs(16))

@@ -22,21 +22,29 @@ the support triples, the JSON form) are checked against a scan of every
 coordinate.  The
 ``Fraction`` lower central series brackets each reduced basis vector of
 L^k with every e_j by the dense bracket, so the integer series is checked
-against it.
+against it; the unit-row walk inserts the unit rows and every image of
+them one by one, so the series' first two terms, read off the table, are
+checked against it row for row.  The rank ceiling is recomputed from dense
+``Fraction`` rows over every coordinate.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 
 from nilalg import (
     Algebra,
+    FamilySpec,
+    InvalidInputError,
     NotNilpotentError,
     char_seq_at,
+    make,
 )
+from nilalg.catalog import FAMILIES
 from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
@@ -340,6 +348,60 @@ def fraction_lower_central_series(alg: Algebra) -> CentralSeries:
     return CentralSeries(tuple(terms))
 
 
+def unit_row_central_series(alg: Algebra) -> CentralSeries:
+    """The integer series as a walk from the unit rows: L^1 is the unit rows
+    inserted one by one into a ``RowSpace``, and L^{k+1} the [v, e_j] over
+    the rows v that enlarged the term before, v in insertion order and j
+    ascending, each inserted, repeats included."""
+    n = alg.dim
+    _, index = alg.integer_index
+    basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    terms = [RowSpace(n, basis)]
+    while basis:
+        space = RowSpace(n)
+        image = []
+        for v in basis:
+            images: dict[int, list[int]] = defaultdict(([0] * n).copy)
+            for t, c in enumerate(v):
+                if c:
+                    for j, entries in index.get(t, ()):
+                        w = images[j]  # [v, e_j]
+                        for k, a in entries:
+                            w[k] += c * a
+            image.extend(w for _, w in sorted(images.items()) if space.add(w))
+        if len(image) >= len(basis):
+            raise NotNilpotentError(
+                f"descending central sequence stalls at dimension {len(basis)}")
+        terms.append(space)
+        basis = image
+    return CentralSeries(tuple(terms))
+
+
+def dense_rank_ceiling(alg: Algebra) -> int:
+    """r_bar = codim U + dim L^3, U = {y : [y, L] lies in L^3}, on dense
+    ``Fraction`` rows: L^2 is the RREF span of the table entries, L^3 that
+    of the brackets of its basis with every e_j, and codim U is the rank of
+    the rows y -> phi([y, e_t]) over every t and every form phi(v) = v[q] -
+    sum over the pivots p of L^3 of v[p] * row_p[q], one per non-pivot
+    column q, read from the table entries [e_i, e_t]."""
+    n = alg.dim
+    zero = (ZERO,) * n
+    l2, _ = dense_rref(list(alg.brackets.values()), n)
+    images = (dense_bracket(alg, v, unit(n, j)) for v in l2 for j in range(n))
+    l3, pivots = dense_rref([w for w in images if any(w)], n)
+    free = [q for q in range(n) if q not in pivots]
+
+    def forms(v):
+        on = [(v[p], row) for p, row in zip(pivots, l3) if v[p] != 0]
+        return [v[q] - sum((c * row[q] for c, row in on), ZERO) for q in free]
+
+    rows = []
+    for t in range(n):
+        values = [forms(alg.brackets.get((i, t), zero)) for i in range(n)]
+        rows.extend([values[i][f] for i in range(n)] for f in range(len(free)))
+    return rank([row for row in rows if any(row)], n) + len(pivots)
+
+
 def random_rational_vector(rng: random.Random, n: int) -> tuple:
     """Entries a/b with -6 <= a <= 6 and 1 <= b <= 4, drawn a then b: the
     vectors the characteristic-sequence sweep draws, before it scales them
@@ -449,6 +511,28 @@ def random_nilpotent_algebra(rng: random.Random, dim: int) -> Algebra:
         products[(a, b)] = [(rng.choice(targets), Fraction(rng.choice([1, -1, 2])))]
     labels = tuple(f"e{i + 1}" for i in range(dim))
     return Algebra.from_products(dim, labels, products)
+
+
+def catalog_specs(n_max: int):
+    """(spec, algebra) for every spec the catalog accepts with n <= n_max:
+    M4 with alpha 0 and 1, the Lie families with every r of p - 2 or
+    p - 1 odd entries."""
+    odd = range(3, n_max + 1, 2)
+    for family in FAMILIES:
+        for n in range(3, n_max + 1):
+            for p in range(1, n):
+                if family.startswith("M"):
+                    options = [((), alpha) for alpha in
+                               ((0, 1) if family == "M4" else (None,))]
+                else:
+                    options = [(r, None) for k in (p - 2, p - 1) if k >= 0
+                               for r in combinations(odd, k)]
+                for r, alpha in options:
+                    try:
+                        spec = FamilySpec(family, n, p, r, alpha)
+                    except InvalidInputError:
+                        continue
+                    yield spec, make(spec)
 
 
 def lie_family_series_dims(n: int, p: int, r: tuple[int, ...]) -> tuple[int, ...]:

@@ -168,7 +168,10 @@ def test_invariants_schema_violation_exit_2(tmp_path, capsys):
                  b'{"dim": 11, "basis": ["a", "b", "c", "d", "e", "f", "g", "h", '
                  b'"i", "j", "k"], "brackets": {"1_0,0": [[1, "1"]]}}',
                  b'{"dim": 2, "basis": ["a", "b"], '
-                 b'"brackets": {"0,0": [[1, "1"]], "0,0": [[1, "2"]]}}'):
+                 b'"brackets": {"0,0": [[1, "1"]], "0,0": [[1, "2"]]}}',
+                 # a target index given twice in one bracket
+                 b'{"dim": 2, "basis": ["a", "b"], '
+                 b'"brackets": {"0,0": [[1, "1"], [1, "1"]]}}'):
         path.write_bytes(data)
         assert main(["invariants", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

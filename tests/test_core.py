@@ -1,5 +1,7 @@
 """Bracket evaluation, Leibniz checking, ideals, change of basis, JSON io."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from nilalg import (
     InvalidInputError,
     abelian_algebra,
     algebra_from_json,
+    algebra_to_dict,
     algebra_to_json,
     bracket,
     chain_algebra,
@@ -24,7 +27,7 @@ from nilalg import (
 )
 from nilalg.linalg import zero_vector
 
-from oracles import identity
+from oracles import identity, random_nilpotent_algebra
 
 F = Fraction
 
@@ -218,6 +221,38 @@ def test_algebra_json_roundtrip_bit_exact(m5_10_4):
     again = algebra_from_json(text)
     assert again == m5_10_4
     assert algebra_to_json(again) == text
+
+
+def test_algebra_json_is_the_indented_dump(catalog_16):
+    # the text written straight from the table is byte for byte the indented,
+    # key-sorted json.dumps of algebra_to_dict: keys such as "10,2" sort
+    # before "2,3", labels with quotes, backslashes, control and non-ASCII
+    # characters are escaped alike, and an empty table is {}
+    rng = random.Random(2026)
+    algs = [alg for _, alg in catalog_16]
+    algs.append(make(FamilySpec("M5", 128, 4)))
+    algs += [random_nilpotent_algebra(rng, rng.randint(1, 12)) for _ in range(300)]
+    labels = ('a"b', "c\\d", "\u00e9", "\u2603", "tab\t", "\U0001f600") + tuple(
+        f"e{k}" for k in range(6, 12))
+    algs.append(Algebra.from_products(12, labels, {
+        (10, 2): [(3, F(-3, 2))], (2, 3): [(1, F(1)), (11, F(7, 9))],
+        (1, 10): [(0, F(10 ** 40, 3))], (1, 1): [(5, F(-2))]}))
+    algs += [abelian_algebra(1), abelian_algebra(3)]
+    for alg in algs:
+        assert algebra_to_json(alg) == json.dumps(algebra_to_dict(alg), indent=2,
+                                                  sort_keys=True), alg.basis_labels
+    assert '"brackets": {},' in algebra_to_json(abelian_algebra(3))
+
+
+def test_algebra_json_refuses_repeated_target():
+    # a target index named twice in one bracket has one spelling already,
+    # its summed coefficient; Python callers of from_products still sum
+    bad = ('{"dim": 2, "basis": ["a", "b"], '
+           '"brackets": {"0,0": [[1, "1"], [1, "1"]]}}')
+    with pytest.raises(InvalidInputError, match="target index twice"):
+        algebra_from_json(bad)
+    summed = Algebra.from_products(2, ("a", "b"), {(0, 0): [(1, F(1)), (1, F(1))]})
+    assert summed.brackets == {(0, 0): (F(0), F(2))}
 
 
 def test_algebra_json_rejects_bad_index():

@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from unittest import mock
 
@@ -37,7 +36,9 @@ from nilalg.catalog import FAMILIES
 from nilalg.linalg import unit_vector, zero_vector
 
 from oracles import (
+    catalog_specs,
     conjugated_nilpotent,
+    dense_rank_ceiling,
     exhaustive_characteristic_sequence,
     fraction_lower_central_series,
     identity,
@@ -48,6 +49,7 @@ from oracles import (
     random_partition,
     random_rational_vector,
     rank,
+    unit_row_central_series,
 )
 from test_sparse_kernels import arbitrary_tables, rational_tables
 
@@ -357,6 +359,15 @@ def test_rank_ceiling_is_basis_independent():
             assert invariants._rank_ceiling(moved) == r_bar
 
 
+def test_rank_ceiling_matches_dense_oracle(catalog_16):
+    # r_bar exactly, against dense Fraction rows over every coordinate
+    rng = random.Random(33)
+    algs = [alg for _, alg in catalog_16]
+    algs += [random_nilpotent_algebra(rng, rng.randint(1, 9)) for _ in range(150)]
+    for alg in algs:
+        assert invariants._rank_ceiling(alg) == dense_rank_ceiling(alg), alg
+
+
 def _counting_draws(monkeypatch):
     draws = []
     draw = invariants._random_integer_vector
@@ -445,33 +456,49 @@ def _terms(series):
     return [(t.rows(), t.pivots) for t in series.terms]
 
 
-def _catalog_specs(n_max):
-    """Every spec the catalog accepts with n <= n_max, with its algebra."""
-    odd = range(3, n_max + 1, 2)
-    for family in FAMILIES:
-        for n in range(3, n_max + 1):
-            for p in range(1, n):
-                if family.startswith("M"):
-                    options = [((), alpha) for alpha in
-                               ((0, 1) if family == "M4" else (None,))]
-                else:
-                    options = [(r, None) for k in (p - 2, p - 1) if k >= 0
-                               for r in combinations(odd, k)]
-                for r, alpha in options:
-                    try:
-                        spec = FamilySpec(family, n, p, r, alpha)
-                    except InvalidInputError:
-                        continue
-                    yield spec, make(spec)
-
-
 def test_integer_series_matches_fraction_reference_on_catalog():
     families = set()
-    for spec, alg in _catalog_specs(11):
+    for spec, alg in catalog_specs(11):
         assert (_terms(lower_central_series(alg))
                 == _terms(fraction_lower_central_series(alg))), spec.name()
         families.add(spec.family)
     assert families == set(FAMILIES)
+
+
+def _stored_terms(series):
+    """Each term's stored rows and pivots, in insertion order, and its
+    reduced basis."""
+    return [(t._rows, t._pivots, t.rows()) for t in series.terms]
+
+
+def _repeated_entry_table(rng, n):
+    """[e_i, e_j] for random pairs drawn from a pool of three vectors
+    supported above max(i, j), so entries repeat and the table is
+    nilpotent: each product raises the least index of its factors."""
+    pool = [tuple(F(rng.choice((0, 1, -2))) if k >= n - 2 else F(0)
+                  for k in range(n)) for _ in range(3)]
+    table = {(i, j): rng.choice(pool) for i in range(n - 2) for j in range(n - 2)
+             if rng.random() < 0.5}
+    return Algebra(n, tuple(f"e{k + 1}" for k in range(n)), table)
+
+
+def test_series_terms_match_unit_row_walk(catalog_16):
+    # the first two terms read off the table store the same rows, pivots
+    # and reduced bases as the walk that inserts the unit rows and every
+    # image of them, repeats included; the later steps follow unchanged
+    rng = random.Random(26)
+    algs = [random_nilpotent_algebra(rng, rng.randint(1, 9)) for _ in range(300)]
+    repeated = [_repeated_entry_table(rng, rng.randint(3, 8)) for _ in range(60)]
+    assert any(len(set(a._entries.values())) < len(a._entries) for a in repeated)
+    algs += repeated + [alg for _, alg in catalog_16] + [abelian_algebra(5)]
+    for alg in algs:
+        assert (_stored_terms(lower_central_series(alg))
+                == _stored_terms(unit_row_central_series(alg))), alg
+    one = Algebra.from_products(1, ("e1",), {(0, 0): [(0, F(1))]})
+    for series in (lower_central_series, unit_row_central_series):
+        with pytest.raises(NotNilpotentError,
+                           match="^descending central sequence stalls at dimension 1$"):
+            series(one)
 
 
 def test_series_terms_are_not_written_by_readers(grid_algebras):
