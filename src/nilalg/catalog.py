@@ -13,10 +13,9 @@ Omitted products are zero throughout.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import MAX_DIM, Algebra, load_json
+from .core import MAX_DIM, Algebra, Record, load_json
 from .errors import InvalidInputError
 from .gradations import DegreeAssignment, GeneratorRoles
 
@@ -40,8 +39,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Parameter record selecting one catalog constructor.
 
     A ``FamilySpec`` that exists meets every hypothesis of its family:
@@ -50,27 +48,24 @@ class FamilySpec:
     first hypothesis the parameters violate.
     """
 
-    family: str
-    n: int
-    p: int
-    r: tuple[int, ...] = ()
-    alpha: int | None = None
+    _fields = ("family", "n", "p", "r", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, family: str, n: int, p: int, r: tuple[int, ...] = (),
+                 alpha: int | None = None):
         """Refuse a field of the wrong type, bools included (JSON ``true``
         loads as an int), then a violated hypothesis; a list ``r`` is kept
         as a tuple."""
-        if self.family not in FAMILIES:
+        if family not in FAMILIES:
             raise InvalidInputError(
-                f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
-        for key in ("n", "p"):
-            if not _is_int(getattr(self, key)):
+                f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+        for key, value in (("n", n), ("p", p)):
+            if not _is_int(value):
                 raise InvalidInputError(f"family spec {key!r} must be an integer")
-        if not (isinstance(self.r, (tuple, list)) and all(map(_is_int, self.r))):
+        if not (isinstance(r, (tuple, list)) and all(map(_is_int, r))):
             raise InvalidInputError("family spec 'r' must be a list of integers")
-        object.__setattr__(self, "r", tuple(self.r))
-        if self.alpha is not None and not _is_int(self.alpha):
+        if alpha is not None and not _is_int(alpha):
             raise InvalidInputError("family spec 'alpha' must be an integer or null")
+        self.__dict__.update(family=family, n=n, p=p, r=tuple(r), alpha=alpha)
         _validate(self)
 
     def name(self) -> str:

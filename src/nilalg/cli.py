@@ -123,6 +123,9 @@ def cmd_catalog(args) -> int:
             print(f"{family:9s} {hypotheses}")
         return 0
     spec = _spec_from_args(args)
+    witness = known_witness(spec) if args.witness_out else None
+    if args.witness_out and witness is None:  # refused before any output
+        raise InvalidInputError(f"{spec.name()} has no known maximum-length witness")
     alg = make(spec)
     text = algebra_to_json(alg)
     if args.out:
@@ -130,10 +133,6 @@ def cmd_catalog(args) -> int:
     else:
         print(text)
     if args.witness_out:
-        witness = known_witness(spec)
-        if witness is None:
-            raise InvalidInputError(
-                f"{spec.name()} has no known maximum-length witness")
         _write_text(args.witness_out,
                     json.dumps(witness.to_dict(alg.basis_labels), indent=2,
                                sort_keys=True) + "\n")

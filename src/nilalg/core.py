@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, NotNilpotentError
@@ -99,13 +99,50 @@ def format_scalar(value: Fraction) -> str:
     return str(value if type(value) is Fraction else Fraction(value))
 
 
-@dataclass(frozen=True)
-class CentralSeries:
+class Record:
+    """Base of the package's immutable records: plain classes, no generated
+    code.  A subclass names its fields in ``_fields`` and stores them in its
+    own ``__init__`` through ``__dict__``; equality, hash and repr run over
+    those fields as ``@dataclass(frozen=True)`` writes them, and assigning
+    or deleting any attribute afterwards raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # one attrgetter, not a getattr loop (ten times slower in ==); a lone
+        # field is wrapped in a 1-tuple, which the dataclass hash also hashed
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = map("{}={!r}".format, self._fields, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CentralSeries(Record):
     """Terms of the descending central series, terms[0] = whole algebra:
     the ``RowSpace``s ``Algebra.central_series`` built, shared by every
     reader and never added to after it returns."""
 
-    terms: tuple[RowSpace, ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[RowSpace, ...]):
+        self.__dict__["terms"] = terms
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -117,8 +154,7 @@ class CentralSeries:
         return self.terms[1]
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Finite-dimensional algebra over Q given by a sparse bracket table.
 
     ``brackets`` is the public dense form {(i, j): [e_i, e_j]}.  It is
@@ -132,11 +168,12 @@ class Algebra:
     [(j, ((k, D*c), ...))]), and ``central_series``.
     """
 
-    dim: int
-    basis_labels: tuple[str, ...]
-    brackets: Mapping[tuple[int, int], Vector] = field(default_factory=dict)
+    _fields = ("dim", "basis_labels", "brackets")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, basis_labels: tuple[str, ...],
+                 brackets: Mapping[tuple[int, int], Vector] | None = None):
+        self.__dict__.update(dim=dim, basis_labels=basis_labels,
+                             brackets={} if brackets is None else brackets)
         if self.dim <= 0:
             raise InvalidInputError("dimension must be positive")
         if len(self.basis_labels) != self.dim:
@@ -154,8 +191,7 @@ class Algebra:
             terms = tuple((k, c) for k, c in enumerate(vec) if c)
             if terms:
                 entries[(i, j)] = terms
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_triples", tuple(
+        self.__dict__.update(_entries=entries, _triples=tuple(
             (i, j, k) for (i, j), terms in entries.items() for k, _ in terms))
 
     @cached_property
@@ -198,8 +234,12 @@ class Algebra:
         _, index = self.integer_index
         basis = _unit_rows(n)
         terms = [_stored_space(n, basis, range(n))]
-        rows = [[d.get(k, 0) for k in range(n)] for d in map(dict, dict.fromkeys(
-            e for t in sorted(index) for _, e in sorted(index[t])))]
+        rows = []
+        for entry in dict.fromkeys(e for t in sorted(index) for _, e in sorted(index[t])):
+            row = [0] * n
+            for k, a in entry:
+                row[k] = a
+            rows.append(row)
         while basis:  # basis: integer rows spanning the last term
             space = RowSpace(n)
             image = [w for w in rows if space.add(w)]
@@ -325,17 +365,21 @@ def right_image(columns: Sequence[Iterable[tuple[int, int]]],
     return out
 
 
-@dataclass(frozen=True)
-class LeibnizViolation:
+class LeibnizViolation(Record):
     """One basis triple (i, j, k) where the Leibniz identity fails."""
 
-    triple: tuple[int, int, int]
-    defect: Vector  # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
+    _fields = ("triple", "defect")
+
+    def __init__(self, triple: tuple[int, int, int], defect: Vector):
+        # defect = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
+        self.__dict__.update(triple=triple, defect=defect)
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
-    violations: tuple[LeibnizViolation, ...]
+class LeibnizReport(Record):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[LeibnizViolation, ...]):
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:

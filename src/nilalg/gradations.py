@@ -41,7 +41,6 @@ independent of any execution interleaving.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -50,6 +49,7 @@ from operator import add, mul
 
 from .core import (
     Algebra,
+    Record,
     change_of_basis,
     is_lie,
     load_json,
@@ -84,11 +84,13 @@ SCHEME_NOTE = (
 
 # -- degree assignments ----------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeAssignment:
+class DegreeAssignment(Record):
     """Total map basis-index -> integer degree (a diagonal gradation candidate)."""
 
-    degrees: dict[int, int]
+    _fields = ("degrees",)
+
+    def __init__(self, degrees: dict[int, int]):
+        self.__dict__["degrees"] = degrees
 
     def degree_list(self, n: int) -> list[int]:
         if set(self.degrees) != set(range(n)):
@@ -120,13 +122,15 @@ class DegreeAssignment:
 
 # -- gradation verification -------------------------------------------------
 
-@dataclass(frozen=True)
-class GradationReport:
-    verdict: str
-    witness: DegreeAssignment | None = None
-    reason: str | None = None
-    checks: dict | None = None  # the report's "checked_properties"
-    search: dict | None = None
+class GradationReport(Record):
+    _fields = ("verdict", "witness", "reason", "checks", "search")
+
+    def __init__(self, verdict: str, witness: DegreeAssignment | None = None,
+                 reason: str | None = None, checks: dict | None = None,
+                 search: dict | None = None):
+        # checks: the report's "checked_properties"
+        self.__dict__.update(verdict=verdict, witness=witness, reason=reason,
+                             checks=checks, search=search)
 
     @property
     def is_maximum_length(self) -> bool:
@@ -216,13 +220,16 @@ def verify_gradation(alg: Algebra, d: DegreeAssignment) -> GradationReport:
 
 # -- natural gradation -------------------------------------------------------
 
-@dataclass(frozen=True)
-class NaturalGradation:
-    """gr L = sum of L^i / L^{i+1} in a chosen homogeneous complement basis."""
+class NaturalGradation(Record):
+    """gr L = sum of L^i / L^{i+1} in a chosen homogeneous complement basis;
+    ``degrees`` holds the degree of each adapted basis vector."""
 
-    component_dims: tuple[int, ...]
-    degrees: tuple[int, ...]  # degree of each adapted basis vector
-    graded_algebra: Algebra
+    _fields = ("component_dims", "degrees", "graded_algebra")
+
+    def __init__(self, component_dims: tuple[int, ...], degrees: tuple[int, ...],
+                 graded_algebra: Algebra):
+        self.__dict__.update(component_dims=component_dims, degrees=degrees,
+                             graded_algebra=graded_algebra)
 
 
 def natural_gradation(alg: Algebra, series: CentralSeries | None = None
@@ -348,8 +355,7 @@ def diagonal_search(alg: Algebra) -> GradationReport:
 
 # -- adapted-basis search ------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorRoles:
+class GeneratorRoles(Record):
     """Which generators drive the chain and which carry unknown degrees.
 
     ``extra_draw`` optionally restricts where the non-driver generic
@@ -357,17 +363,18 @@ class GeneratorRoles:
     chain part and the other generators only).
     """
 
-    driver: int
-    others: tuple[int, ...]
-    extra_draw: tuple[int, ...] | None = None
+    _fields = ("driver", "others", "extra_draw")
+
+    def __init__(self, driver: int, others: tuple[int, ...],
+                 extra_draw: tuple[int, ...] | None = None):
+        self.__dict__.update(driver=driver, others=others, extra_draw=extra_draw)
 
 
 # Generic draws have entries a/b with b in {1, 2, 3}; drawn times
 # lcm(1, 2, 3) = 6 they are integers.
 DRAW_SCALE = 6
 
-@dataclass
-class AdaptedBasisSample:
+class AdaptedBasisSample(Record):
     """One generic draw of homogeneous generators, closed under bracketing.
 
     Built whole by ``_close_adapted_basis``, or not at all for a degenerate
@@ -382,11 +389,14 @@ class AdaptedBasisSample:
     algebra in the adapted basis are built only to certify a witness.
     """
 
-    alg: Algebra
-    sample_index: int
-    rows: tuple[tuple[int, ...], ...]
-    scales: tuple[tuple[int, int], ...]
-    forms: tuple[tuple[int, ...], ...]
+    _fields = ("alg", "sample_index", "rows", "scales", "forms")
+
+    def __init__(self, alg: Algebra, sample_index: int,
+                 rows: tuple[tuple[int, ...], ...],
+                 scales: tuple[tuple[int, int], ...],
+                 forms: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(alg=alg, sample_index=sample_index, rows=rows,
+                             scales=scales, forms=forms)
 
     @property
     def basis_matrix(self) -> tuple[Vector, ...]:

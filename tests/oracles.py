@@ -25,13 +25,17 @@ L^k with every e_j by the dense bracket, so the integer series is checked
 against it; the unit-row walk inserts the unit rows and every image of
 them one by one, so the series' first two terms, read off the table, are
 checked against it row for row.  The rank ceiling is recomputed from dense
-``Fraction`` rows over every coordinate.
+``Fraction`` rows over every coordinate.  Each of the package's plain
+records has a ``@dataclass(frozen=True)`` twin with the same fields and
+defaults, so equality, hash, repr and the refused assignments are checked
+against what ``dataclasses`` generates.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -45,12 +49,15 @@ from nilalg import (
     make,
 )
 from nilalg.catalog import FAMILIES
+from nilalg.core import LeibnizReport, LeibnizViolation
 from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
+    AdaptedBasisSample,
     DegreeAssignment,
     GeneratorRoles,
     GradationReport,
+    NaturalGradation,
     verify_gradation,
 )
 from nilalg.invariants import (
@@ -545,3 +552,38 @@ def lie_family_series_dims(n: int, p: int, r: tuple[int, ...]) -> tuple[int, ...
     comp = [2] + [1 + (i in r) for i in range(2, n - p + 1)]
     dims = [sum(comp[k:]) for k in range(len(comp))] + [0]
     return tuple(dims)
+
+
+# -- dataclass twins of the records --------------------------------------------
+
+# Each record's fields as ``make_dataclass`` takes them: a name, or (name,
+# type, field) for one with a default.  Every record refuses assignment,
+# AdaptedBasisSample (built whole) included, so every twin is frozen.
+RECORD_TWINS = {record: make_dataclass(record.__name__, spec, frozen=True)
+                for record, spec in (
+    (CentralSeries, ["terms"]),
+    (Algebra, ["dim", "basis_labels",
+               ("brackets", dict, field(default_factory=dict))]),
+    (LeibnizViolation, ["triple", "defect"]),
+    (LeibnizReport, ["violations"]),
+    (FamilySpec, ["family", "n", "p", ("r", tuple, field(default=())),
+                  ("alpha", int, field(default=None))]),
+    (DegreeAssignment, ["degrees"]),
+    (GradationReport, ["verdict"] + [(name, object, field(default=None)) for name
+                                     in ("witness", "reason", "checks", "search")]),
+    (NaturalGradation, ["component_dims", "degrees", "graded_algebra"]),
+    (GeneratorRoles, ["driver", "others", ("extra_draw", tuple, field(default=None))]),
+    (AdaptedBasisSample, ["alg", "sample_index", "rows", "scales", "forms"]),
+)}
+
+
+def dataclass_twin(value):
+    """``value`` with every record in it, inside tuples too, replaced by its
+    dataclass twin holding the same field values."""
+    if isinstance(value, tuple):
+        return tuple(map(dataclass_twin, value))
+    twin = RECORD_TWINS.get(type(value))
+    if twin is None:
+        return value
+    return twin(**{f.name: dataclass_twin(getattr(value, f.name))
+                   for f in fields(twin)})

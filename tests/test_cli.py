@@ -66,12 +66,21 @@ def test_m3_negative_p_exit_2(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_catalog_make_witnessless_family_exit_2(tmp_path):
-    out = tmp_path / "l.json"
+def test_catalog_make_witnessless_family_exit_2(tmp_path, capsys):
+    """A spec with no known witness is refused before anything is written:
+    neither the -o file nor the algebra on stdout appears."""
+    out, witness = tmp_path / "l.json", tmp_path / "w.json"
     code = main(["catalog", "make", "--family", "L", "--n", "12", "--p", "4",
-                 "--r", "3,5,7", "-o", str(out),
-                 "--witness-out", str(tmp_path / "w.json")])
+                 "--r", "3,5,7", "-o", str(out), "--witness-out", str(witness)])
     assert code == 2
+    assert main(["catalog", "make", "--family", "M3", "--n", "6", "--p", "1",
+                 "--witness-out", str(witness)]) == 2
+    assert not out.exists() and not witness.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: L(12, 4, (3,5,7)) has no known maximum-length witness",
+        "error: M3(6, 1) has no known maximum-length witness"]
 
 
 def test_invariants_report(tmp_path, capsys):
