@@ -4,13 +4,10 @@ from .core import (
     MAX_DIM,
     Algebra,
     LeibnizReport,
-    abelian_algebra,
     algebra_from_dict,
     algebra_from_json,
-    algebra_to_dict,
     algebra_to_json,
     bracket,
-    chain_algebra,
     change_of_basis,
     check_leibniz,
     is_lie,
@@ -57,8 +54,7 @@ __all__ = [
     "NilalgError", "InvalidInputError", "NotNilpotentError",
     "DegenerateSampleError", "MAXIMUM_LENGTH", "NOT_MAXIMUM_LENGTH",
     "NO_GRADATION_FOUND", "DEFAULT_SEED", "MAX_DIM",
-    "abelian_algebra", "algebra_from_dict", "algebra_from_json",
-    "algebra_to_dict", "algebra_to_json", "bracket", "chain_algebra",
+    "algebra_from_dict", "algebra_from_json", "algebra_to_json", "bracket",
     "change_of_basis", "check_leibniz", "is_lie", "square_ideal",
     "generator_roles", "list_families", "make", "known_witness",
     "diagonal_search", "graded_fingerprint",

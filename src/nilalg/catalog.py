@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from .core import MAX_DIM, Algebra, Record, load_json
+from .core import MAX_DIM, Algebra, Record, check_object, load_json
 from .errors import InvalidInputError
 from .gradations import DegreeAssignment, GeneratorRoles
 
@@ -82,7 +82,8 @@ class FamilySpec(Record):
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":
-        if not isinstance(data, dict) or "family" not in data:
+        check_object(data, FamilySpec._fields, "family spec JSON")
+        if "family" not in data:
             raise InvalidInputError("family spec JSON must be an object with 'family'")
         r = data.get("r")
         return FamilySpec(data["family"], data.get("n"), data.get("p"),

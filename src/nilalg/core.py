@@ -71,6 +71,18 @@ def load_json(text: str):
         raise InvalidInputError(f"invalid JSON: {exc}") from exc
 
 
+def check_object(data, keys: tuple[str, ...], what: str) -> None:
+    """Raise InvalidInputError unless ``data`` is a JSON object with no key
+    outside ``keys``, naming the first such key: a misspelt key would
+    otherwise be dropped without a word."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{what} must be an object")
+    for key in data:
+        if key not in keys:
+            raise InvalidInputError(
+                f"{what} has unknown key {reprlib.repr(key)}; known: {', '.join(keys)}")
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse a canonical rational string like "-3/2" or "1".
 
@@ -504,30 +516,13 @@ def change_of_basis(alg: Algebra, m: Sequence[Sequence[Fraction]],
     return Algebra(n, tuple(labels), new_table)
 
 
-def abelian_algebra(dim: int) -> Algebra:
-    """All products zero, on e1, ..., e_dim."""
-    return Algebra(dim, tuple(f"e{i + 1}" for i in range(dim)), {})
-
-
-def chain_algebra(dim: int) -> Algebra:
-    """Null-filiform chain [e_i, e_1] = e_{i+1}, 1 <= i <= dim-1."""
-    products = {(i, 0): [(i + 1, Fraction(1))] for i in range(dim - 1)}
-    return Algebra.from_products(
-        dim, tuple(f"e{i + 1}" for i in range(dim)), products)
-
-
 # -- JSON interface ------------------------------------------------------
 
-def algebra_to_dict(alg: Algebra) -> dict:
-    """Canonical JSON-ready form of the algebra table."""
-    entries = {f"{i},{j}": [[k, format_scalar(c)] for k, c in terms]
-               for (i, j), terms in sorted(alg._entries.items())}
-    return {"dim": alg.dim, "basis": list(alg.basis_labels), "brackets": entries}
-
-
 def algebra_to_json(alg: Algebra) -> str:
-    """``json.dumps(algebra_to_dict(alg), indent=2, sort_keys=True)``, written
-    straight from ``_entries`` with the encoder's ASCII quoting."""
+    """The canonical text {"basis": labels, "brackets": {"i,j": [[k,
+    "num/den"], ...]}, "dim": n}, one term per nonzero coefficient, as
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes it (keys sorted as
+    strings, ASCII quoting), built straight from ``_entries``."""
     quote = encode_basestring_ascii
     entries = ",\n    ".join(f'"{key}": [\n      ' + ",\n      ".join(
         f"[\n        {k},\n        {quote(format_scalar(c))}\n      ]" for k, c in terms)
@@ -540,9 +535,9 @@ def algebra_to_json(alg: Algebra) -> str:
 
 
 def algebra_from_dict(data: dict) -> Algebra:
-    if not isinstance(data, dict):
-        raise InvalidInputError("algebra JSON must be an object")
-    for key in ("dim", "basis", "brackets"):
+    keys = ("dim", "basis", "brackets")
+    check_object(data, keys, "algebra JSON")
+    for key in keys:
         if key not in data:
             raise InvalidInputError(f"algebra JSON missing key {key!r}")
     dim = data["dim"]

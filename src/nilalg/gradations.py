@@ -51,6 +51,7 @@ from .core import (
     Algebra,
     Record,
     change_of_basis,
+    check_object,
     is_lie,
     load_json,
     right_columns,
@@ -103,7 +104,8 @@ class DegreeAssignment(Record):
 
     @staticmethod
     def from_dict(data: dict, alg: Algebra) -> "DegreeAssignment":
-        if not isinstance(data, dict) or not isinstance(data.get("degrees"), dict):
+        check_object(data, DegreeAssignment._fields, "degree assignment JSON")
+        if not isinstance(data.get("degrees"), dict):
             raise InvalidInputError(
                 "degree assignment JSON must be {\"degrees\": {label: int}}")
         degrees = {}
@@ -360,14 +362,18 @@ class GeneratorRoles(Record):
 
     ``extra_draw`` optionally restricts where the non-driver generic
     generators may spread (the standard generator shape draws them over the
-    chain part and the other generators only).
+    chain part and the other generators only).  Lists given for ``others``
+    and ``extra_draw`` are kept as tuples.
     """
 
     _fields = ("driver", "others", "extra_draw")
 
     def __init__(self, driver: int, others: tuple[int, ...],
                  extra_draw: tuple[int, ...] | None = None):
-        self.__dict__.update(driver=driver, others=others, extra_draw=extra_draw)
+        if extra_draw is not None:
+            extra_draw = tuple(extra_draw)
+        self.__dict__.update(driver=driver, others=tuple(others),
+                             extra_draw=extra_draw)
 
 
 # Generic draws have entries a/b with b in {1, 2, 3}; drawn times

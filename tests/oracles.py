@@ -49,7 +49,7 @@ from nilalg import (
     make,
 )
 from nilalg.catalog import FAMILIES
-from nilalg.core import LeibnizReport, LeibnizViolation
+from nilalg.core import LeibnizReport, LeibnizViolation, format_scalar
 from nilalg.gradations import (
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
@@ -106,6 +106,15 @@ def dense_table_views(alg: Algebra) -> tuple:
             entries[f"{i},{j}"] = terms
     return ((den, index), tuple(triples),
             {"dim": n, "basis": list(alg.basis_labels), "brackets": entries})
+
+
+def algebra_to_dict(alg: Algebra) -> dict:
+    """The JSON form of the table as data, each nonzero entry of
+    ``_entries`` as [[k, "num/den"], ...] under the key "i,j".  Dumped with
+    ``indent=2, sort_keys=True`` it is the reference for ``algebra_to_json``."""
+    entries = {f"{i},{j}": [[k, format_scalar(c)] for k, c in terms]
+               for (i, j), terms in sorted(alg._entries.items())}
+    return {"dim": alg.dim, "basis": list(alg.basis_labels), "brackets": entries}
 
 
 def unit(n: int, i: int) -> tuple:
@@ -489,6 +498,18 @@ def conjugated_nilpotent(rng: random.Random, partition):
     j = jordan_nilpotent(partition)
     p = random_invertible(rng, sum(partition))
     return mat_mul(mat_mul(p, j), dense_invert(p))
+
+
+def abelian_algebra(dim: int) -> Algebra:
+    """All products zero, on e1, ..., e_dim."""
+    return Algebra(dim, tuple(f"e{i + 1}" for i in range(dim)), {})
+
+
+def chain_algebra(dim: int) -> Algebra:
+    """Null-filiform chain [e_i, e_1] = e_{i+1}, 1 <= i <= dim-1."""
+    products = {(i, 0): [(i + 1, Fraction(1))] for i in range(dim - 1)}
+    return Algebra.from_products(
+        dim, tuple(f"e{i + 1}" for i in range(dim)), products)
 
 
 def random_nilpotent_algebra(rng: random.Random, dim: int) -> Algebra:

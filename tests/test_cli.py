@@ -1,10 +1,15 @@
 """CLI surface: subcommands, exit codes, report shape, determinism."""
 
 import hashlib
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilalg.cli import main, run_pipeline
 from nilalg import (
@@ -20,7 +25,7 @@ from nilalg import (
     two_generator_search,
 )
 
-from oracles import random_invertible, random_nilpotent_algebra
+from oracles import chain_algebra, random_invertible, random_nilpotent_algebra
 
 
 def write_algebra(tmp_path, spec, name="alg.json"):
@@ -251,7 +256,6 @@ def test_negative_search_parameters_exit_2(tmp_path, capsys, argv):
 
 def test_grade_diagonal(tmp_path, capsys):
     path = tmp_path / "chain.json"
-    from nilalg import chain_algebra
     path.write_text(algebra_to_json(chain_algebra(4)))
     assert main(["grade", "diagonal", str(path)]) == 0
 
@@ -536,6 +540,118 @@ def test_json_bools_refused_in_family_specs(tmp_path, capsys, spec):
     assert main(["catalog", "make", "--spec", str(spec_file)]) == 2
     err = capsys.readouterr().err
     assert err.count("error: family spec") == 2
+
+
+def test_unknown_keys_exit_2(tmp_path, capsys):
+    # a misspelt key is refused by name, not dropped ("bracket" would load
+    # an abelian algebra), even where a required key is missing with it
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": {}}))
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": {},
+                                "bracket": {"0,0": [[1, "1"]]}}))
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"family": "M5", "n": 8, "p": 4, "alhpa": 1}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"family": "M5", "n": 8, "p": 4},
+                                {"famliy": "M5", "n": 8, "p": 4}]))
+    assignment = tmp_path / "w.json"
+    assignment.write_text(json.dumps({"degrees": {"a": 1, "b": 2}, "offset": 1}))
+    assert main(["invariants", str(typo)]) == 2
+    assert main(["catalog", "make", "--spec", str(spec_file)]) == 2
+    assert main(["reproduce", "--theorem", "thm33", "--grid", str(grid)]) == 2
+    assert main(["grade", "verify", str(alg), "--assignment", str(assignment)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: algebra JSON has unknown key 'bracket'; known: dim, basis, brackets",
+        *(f"error: family spec JSON has unknown key '{key}'; "
+          "known: family, n, p, r, alpha" for key in ("alhpa", "famliy")),
+        "error: degree assignment JSON has unknown key 'offset'; known: degrees"]
+
+
+# Values of any JSON type, for a field given the wrong type or a stray key.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5)
+    | st.sampled_from(["", "1", "-1/2", "1e9", "0,0", "a"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0,0", "1,0", "a", "degrees"]), inner,
+                      max_size=3),
+    max_leaves=6)
+
+
+def _slots(data):
+    """(container, key) of every value nested in the JSON data ``data``."""
+    for key, value in (data.items() if isinstance(data, dict) else enumerate(data)):
+        yield data, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def one_fault(draw, data):
+    """JSON text of the object ``data`` as it is, or with one fault: a value
+    at any depth replaced by a value of any JSON type, an entry removed, or
+    a stray key added to the object or to an object inside it."""
+    data = json.loads(json.dumps(data))
+    slots = list(_slots(data))[::-1]  # hypothesis favours the first, deepest
+    fault = draw(st.sampled_from(["junk", "drop", "stray", None]))
+    if fault == "stray":
+        objects = [data] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        target = draw(st.sampled_from(objects))
+        stray = draw(st.sampled_from(["bracket", "alhpa", "offset", "", "0,0"]))
+        target[stray] = draw(JUNK)
+    elif fault:
+        container, key = draw(st.sampled_from(slots))
+        if fault == "junk":
+            container[key] = draw(JUNK)
+        else:
+            del container[key]
+    return json.dumps(data)
+
+
+# One admissible spec of each kind of family: no r or alpha, alpha, and r.
+SPECS = ({"family": "M5", "n": 8, "p": 4}, {"family": "M3", "n": 5, "p": 1, "r": None},
+         {"family": "M4", "n": 8, "p": 4, "r": None, "alpha": 1},
+         {"family": "L", "n": 12, "p": 4, "r": [3, 5, 7], "alpha": None})
+
+
+@st.composite
+def loader_inputs(draw):
+    """An algebra with dim <= 4, a degree assignment on its labels and a
+    family spec, as JSON text, each with at most one fault."""
+    dim = draw(st.integers(1, 4))
+    labels = ["a", "b", "c", "d"][:dim]
+    index = st.integers(0, dim - 1)
+    terms = st.dictionaries(index, st.sampled_from(["1", "-1/2", "3"]), max_size=2)
+    table = draw(st.dictionaries(st.tuples(index, index), terms, max_size=3))
+    algebra = {"dim": dim, "basis": labels, "brackets": {
+        f"{i},{j}": sorted(map(list, row.items())) for (i, j), row in table.items()}}
+    degrees = draw(st.lists(st.integers(-3, 6), min_size=dim, max_size=dim))
+    return (draw(one_fault(algebra)),
+            draw(one_fault({"degrees": dict(zip(labels, degrees))})),
+            draw(one_fault(draw(st.sampled_from(SPECS)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=loader_inputs())
+def test_loaders_exit_cleanly_on_any_object(texts):
+    # every input file ends in a report (0 or 1) or a one-line refusal (2)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [Path(tmp, name) for name in ("alg.json", "w.json", "spec.json")]
+        for path, text in zip(files, texts):
+            path.write_text(text)
+        alg, assignment, spec = map(str, files)
+        for argv in (["invariants", alg],
+                     ["grade", "verify", alg, "--assignment", assignment],
+                     ["catalog", "make", "--spec", spec]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error:"), argv
 
 
 def test_reproduce_deterministic_bytes(tmp_path):

@@ -11,12 +11,9 @@ from nilalg import (
     Algebra,
     FamilySpec,
     InvalidInputError,
-    abelian_algebra,
     algebra_from_json,
-    algebra_to_dict,
     algebra_to_json,
     bracket,
-    chain_algebra,
     change_of_basis,
     characteristic_sequence,
     check_leibniz,
@@ -27,7 +24,13 @@ from nilalg import (
 )
 from nilalg.linalg import zero_vector
 
-from oracles import identity, random_nilpotent_algebra
+from oracles import (
+    abelian_algebra,
+    algebra_to_dict,
+    chain_algebra,
+    identity,
+    random_nilpotent_algebra,
+)
 
 F = Fraction
 

@@ -15,8 +15,6 @@ from nilalg import (
     InvalidInputError,
     MAXIMUM_LENGTH,
     NO_GRADATION_FOUND,
-    abelian_algebra,
-    chain_algebra,
     change_of_basis,
     check_leibniz,
     diagonal_search,
@@ -32,7 +30,9 @@ from nilalg import (
 )
 
 from oracles import (
+    abelian_algebra,
     brute_diagonal_search,
+    chain_algebra,
     identity,
     negated,
     random_invertible,
@@ -418,6 +418,15 @@ def test_search_rejects_roles_outside_the_basis(roles):
     alg = make(FamilySpec("M3", 5, 1))
     with pytest.raises(InvalidInputError, match=r"range\(5\)"):
         two_generator_search(alg, roles=roles)
+
+
+def test_search_takes_roles_given_as_lists():
+    # lists are kept as tuples, which the search joins to the driver
+    alg = make(FamilySpec("M3", 5, 1))
+    roles = GeneratorRoles(0, [4], [1, 2])
+    assert roles == GeneratorRoles(0, (4,), (1, 2))
+    assert two_generator_search(alg, roles=roles) == two_generator_search(
+        alg, roles=GeneratorRoles(0, (4,), (1, 2)))
 
 
 def test_search_perfect_algebra_rejected():

@@ -14,8 +14,6 @@ from nilalg import (
     FamilySpec,
     InvalidInputError,
     NotNilpotentError,
-    abelian_algebra,
-    chain_algebra,
     change_of_basis,
     char_seq_at,
     characteristic_sequence,
@@ -36,7 +34,9 @@ from nilalg.catalog import FAMILIES
 from nilalg.linalg import unit_vector, zero_vector
 
 from oracles import (
+    abelian_algebra,
     catalog_specs,
+    chain_algebra,
     conjugated_nilpotent,
     dense_rank_ceiling,
     exhaustive_characteristic_sequence,

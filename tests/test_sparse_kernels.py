@@ -25,10 +25,7 @@ from nilalg import (
     Algebra,
     DegreeAssignment,
     FamilySpec,
-    abelian_algebra,
-    algebra_to_dict,
     bracket,
-    chain_algebra,
     change_of_basis,
     check_leibniz,
     generator_roles,
@@ -53,6 +50,9 @@ from nilalg.gradations import (
 from nilalg.linalg import RowSpace
 
 from oracles import (
+    abelian_algebra,
+    algebra_to_dict,
+    chain_algebra,
     dense_bracket,
     dense_closure,
     dense_invert,
